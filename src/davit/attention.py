@@ -50,9 +50,6 @@ class AttentionParams:
     def channels(self):
         return self.qkv_weight.shape[0]
 
-    def tensors(self):
-        return [self.qkv_weight, self.qkv_bias, self.proj_weight, self.proj_bias]
-
 
 def init_attention_params(channels, head_width, rng, dtype=None):
     return AttentionParams(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import model as md
 
 # columns of the interchange format, in order
@@ -75,7 +76,7 @@ def measure_fps(model, input_shape=None, warmup_iters: int = 20,
     if len(input_shape) != 4 or any(s < 1 for s in input_shape):
         raise ValueError(f"input_shape must be a positive NCHW 4-tuple, got {input_shape}")
     rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 1.0, size=input_shape).astype(np.float32)
+    x = ad.Tensor(rng.uniform(0.0, 1.0, size=input_shape).astype(np.float32))
 
     for _ in range(warmup_iters):
         model.forward(x)

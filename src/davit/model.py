@@ -10,11 +10,17 @@ ceil(input/stride), which takes a 300-pixel input through spatial sizes
 Every block applies, in order, with pre-normalization and residuals:
 spatial window attention, FFN, channel group attention, FFN. The head
 is a layer norm, global average pool, and a linear map to class logits.
+
+The parameter tree below (Model -> StageParams -> BlockParams -> ...) is
+the only owner of the parameters. A parameter's name is its attribute
+path in that tree, for example `stages.0.blocks.0.spatial.qkv_weight` or
+`head.weight`; `named_parameters()` walks the tree in field order, and
+checkpoints store each tensor under that name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -132,48 +138,47 @@ class BlockParams:
 
 
 @dataclass
+class EmbedParams:
+    weight: ad.Tensor
+    bias: ad.Tensor
+
+
+@dataclass
 class StageParams:
-    embed_weight: ad.Tensor
-    embed_bias: ad.Tensor
+    embed: EmbedParams
     blocks: list
+
+
+@dataclass
+class HeadParams:
+    norm: NormParams
+    weight: ad.Tensor
+    bias: ad.Tensor
 
 
 @dataclass
 class Model:
     config: ModelConfig
     stages: list
-    head_norm: NormParams
-    head_weight: ad.Tensor
-    head_bias: ad.Tensor
-    named: dict = field(default_factory=dict, repr=False)
+    head: HeadParams
 
     def named_parameters(self):
-        return self.named
-
-    def parameters(self):
-        return list(self.named.values())
+        """Name -> Tensor for every parameter, in tree order."""
+        return dict(_walk("", self))
 
     def forward(self, images):
         return forward(self, images)
 
 
-def _register_norm(named, prefix, n: NormParams):
-    named[f"{prefix}.gamma"] = n.gamma
-    named[f"{prefix}.beta"] = n.beta
-
-
-def _register_attention(named, prefix, p: at.AttentionParams):
-    named[f"{prefix}.qkv_weight"] = p.qkv_weight
-    named[f"{prefix}.qkv_bias"] = p.qkv_bias
-    named[f"{prefix}.proj_weight"] = p.proj_weight
-    named[f"{prefix}.proj_bias"] = p.proj_bias
-
-
-def _register_ffn(named, prefix, f: FFNParams):
-    named[f"{prefix}.w1"] = f.w1
-    named[f"{prefix}.b1"] = f.b1
-    named[f"{prefix}.w2"] = f.w2
-    named[f"{prefix}.b2"] = f.b2
+def _walk(prefix, node):
+    if isinstance(node, ad.Tensor):
+        yield prefix[:-1], node
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _walk(f"{prefix}{i}.", child)
+    elif is_dataclass(node):
+        for f in fields(node):
+            yield from _walk(f"{prefix}{f.name}.", getattr(node, f.name))
 
 
 def build_model(cfg: ModelConfig, seed: int, dtype=None) -> Model:
@@ -213,31 +218,12 @@ def build_model(cfg: ModelConfig, seed: int, dtype=None) -> Model:
                 norm4=norm(s.channels),
                 ffn2=FFNParams(w3, b3, w4, b4),
             ))
-        stages.append(StageParams(embed_w, embed_b, blocks))
+        stages.append(StageParams(EmbedParams(embed_w, embed_b), blocks))
         cin = s.channels
 
     head_norm = norm(cfg.stages[-1].channels)
     head_w, head_b = linear(cfg.stages[-1].channels, cfg.num_classes)
-
-    named = {}
-    for i, sp in enumerate(stages):
-        named[f"stages.{i}.embed.weight"] = sp.embed_weight
-        named[f"stages.{i}.embed.bias"] = sp.embed_bias
-        for j, bp in enumerate(sp.blocks):
-            prefix = f"stages.{i}.blocks.{j}"
-            _register_norm(named, f"{prefix}.norm1", bp.norm1)
-            _register_attention(named, f"{prefix}.spatial", bp.spatial)
-            _register_norm(named, f"{prefix}.norm2", bp.norm2)
-            _register_ffn(named, f"{prefix}.ffn1", bp.ffn1)
-            _register_norm(named, f"{prefix}.norm3", bp.norm3)
-            _register_attention(named, f"{prefix}.channel", bp.channel)
-            _register_norm(named, f"{prefix}.norm4", bp.norm4)
-            _register_ffn(named, f"{prefix}.ffn2", bp.ffn2)
-    _register_norm(named, "head.norm", head_norm)
-    named["head.weight"] = head_w
-    named["head.bias"] = head_b
-
-    return Model(cfg, stages, head_norm, head_w, head_b, named)
+    return Model(cfg, stages, HeadParams(head_norm, head_w, head_b))
 
 
 def patch_embed(x, sp: StageParams, s: StageConfig):
@@ -246,8 +232,8 @@ def patch_embed(x, sp: StageParams, s: StageConfig):
     if x.shape[3] != size:
         raise ValueError(f"expected a square input, got {x.shape}")
     _, pad4 = _embed_geometry(size, s)
-    out = ad.conv2d(x, sp.embed_weight, stride=s.embed_stride, pad=pad4)
-    return ad.add(out, ad.reshape(sp.embed_bias, (s.channels, 1, 1)))
+    out = ad.conv2d(x, sp.embed.weight, stride=s.embed_stride, pad=pad4)
+    return ad.add(out, ad.reshape(sp.embed.bias, (s.channels, 1, 1)))
 
 
 def _ffn(x, f: FFNParams):
@@ -288,9 +274,9 @@ def forward(model: Model, images) -> ad.Tensor:
             x = dual_attention_block(x, bp, s)
         x = ad.transpose(x, (0, 3, 1, 2))
     x = ad.transpose(x, (0, 2, 3, 1))
-    x = _norm(x, model.head_norm)
+    x = _norm(x, model.head.norm)
     x = ad.tensor_mean(x, axis=(1, 2))  # global average pool
-    return ad.add(ad.matmul(x, model.head_weight), model.head_bias)
+    return ad.add(ad.matmul(x, model.head.weight), model.head.bias)
 
 
 def count_params(model: Model) -> int:

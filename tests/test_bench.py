@@ -2,6 +2,7 @@ import statistics
 
 import pytest
 
+from davit import autodiff as ad
 from davit import bench
 from davit import model as md
 
@@ -75,6 +76,19 @@ def test_bad_inputs_rejected():
     with pytest.raises(ValueError, match="input_shape"):
         bench.measure_fps(StillModel(), (1, 3, 4))
 
+
+def test_forward_receives_a_tensor():
+    class RecordingModel(StillModel):
+        def __init__(self):
+            self.seen = []
+
+        def forward(self, x):
+            self.seen.append(type(x))
+            return x
+
+    model = RecordingModel()
+    bench.measure_fps(model, (1, 3, 4, 4), warmup_iters=2, timed_iters=2, _clock=TickClock())
+    assert model.seen == [ad.Tensor] * 4
 
 def test_shape_mismatch_propagates():
     model = md.build_model(tiny_config(), seed=0)

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from davit import autodiff as ad
+from davit import checkpoint as ck
 from davit import model as md
 from conftest import check_grads, rel_err
 from test_autodiff import conv_loops
@@ -38,7 +40,7 @@ def test_patch_embed_300_to_75():
 
 def test_patch_embed_ceil_rule_75_to_38_and_19_to_10():
     s = md.StageConfig(2, 2, 0, 4, 1, 7, 2)
-    sp = md.StageParams(ad.zeros((4, 2, 2, 2)), ad.zeros((4,)), [])
+    sp = md.StageParams(md.EmbedParams(ad.zeros((4, 2, 2, 2)), ad.zeros((4,))), [])
     assert md.patch_embed(ad.zeros((1, 2, 75, 75)), sp, s).shape == (1, 4, 38, 38)
     assert md.patch_embed(ad.zeros((1, 2, 38, 38)), sp, s).shape == (1, 4, 19, 19)
     assert md.patch_embed(ad.zeros((1, 2, 19, 19)), sp, s).shape == (1, 4, 10, 10)
@@ -46,7 +48,7 @@ def test_patch_embed_ceil_rule_75_to_38_and_19_to_10():
 
 def test_patch_embed_rejects_non_square():
     s = md.StageConfig(2, 2, 0, 4, 1, 7, 2)
-    sp = md.StageParams(ad.zeros((4, 2, 2, 2)), ad.zeros((4,)), [])
+    sp = md.StageParams(md.EmbedParams(ad.zeros((4, 2, 2, 2)), ad.zeros((4,))), [])
     with pytest.raises(ValueError):
         md.patch_embed(ad.zeros((1, 2, 8, 10)), sp, s)
 
@@ -80,6 +82,20 @@ def test_build_deterministic_bitwise():
     c = md.build_model(cfg, seed=8)
     assert (a.named_parameters()["head.weight"].data != c.named_parameters()["head.weight"].data).any()
 
+
+def test_parameter_names_bytes_and_checkpoint_pinned(tmp_path):
+    # pins the initialisation draw order, the name of each parameter,
+    # and the checkpoint layout for one seed
+    m = md.build_model(toy_config(), seed=0)
+    h = hashlib.sha256()
+    for name, t in m.named_parameters().items():
+        h.update(name.encode() + b"\0")
+        h.update(t.data.tobytes())
+    assert h.hexdigest() == "91995f29f9da579e1f2080de8825bd76c32c572270ce2860a0b1e90416ad5ff9"
+    path = tmp_path / "toy.ckpt"
+    ck.save_checkpoint(m, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "bc15f456afdc07143863fcdcec9daa286f2828cf8a94ae0573d2d13941255c44")
 
 def test_toy_forward_finite_logits():
     cfg = md.ModelConfig(input_size=32, num_classes=10,
@@ -149,12 +165,12 @@ def test_end_to_end_gradient_fd():
     m = md.build_model(cfg, seed=9, dtype=np.float64)
     rng = np.random.default_rng(10)
     x = rng.uniform(0, 1, size=(1, 1, 8, 8))
-    gamma = m.head_norm.gamma.data.copy()
-    hw = m.head_weight.data.copy()
+    gamma = m.head.norm.gamma.data.copy()
+    hw = m.head.weight.data.copy()
 
     def build(ts):
-        m.head_norm.gamma = ts[1]
-        m.head_weight = ts[2]
+        m.head.norm.gamma = ts[1]
+        m.head.weight = ts[2]
         logits = md.forward(m, ts[0])
         return ad.tensor_sum(ad.mul(logits, logits))
 
@@ -281,15 +297,15 @@ def test_forward_matches_straight_line_oracle():
             out_sz = -(-x.shape[2] // s.embed_stride)
             extra = max(0, (out_sz - 1) * s.embed_stride + s.embed_kernel - x.shape[2])
             pad4 = (0, extra, 0, extra)
-        x = conv_loops(x, sp.embed_weight.data, s.embed_stride, pad4)
-        x = x + sp.embed_bias.data[None, :, None, None]
+        x = conv_loops(x, sp.embed.weight.data, s.embed_stride, pad4)
+        x = x + sp.embed.bias.data[None, :, None, None]
         x = x.transpose(0, 2, 3, 1)
         for bp in sp.blocks:
             x = sl_block(x, bp, s, cfg.ffn_hidden(s.channels))
         x = x.transpose(0, 3, 1, 2)
     x = x.transpose(0, 2, 3, 1)
-    x = sl_layer_norm(x, m.head_norm.gamma.data, m.head_norm.beta.data)
+    x = sl_layer_norm(x, m.head.norm.gamma.data, m.head.norm.beta.data)
     x = x.mean(axis=(1, 2))
-    want = x @ m.head_weight.data + m.head_bias.data
+    want = x @ m.head.weight.data + m.head.bias.data
 
     assert rel_err(got, want) < 1e-6

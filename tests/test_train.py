@@ -224,6 +224,17 @@ def test_mixup_alpha_zero_path_runs():
     assert np.isfinite(loss) and 0.0 <= acc <= 1.0
 
 
+def test_rebound_parameter_is_named_and_trained():
+    model, data = toy_model_and_data()
+    fresh = ad.Tensor(model.head.weight.data.copy(), requires_grad=True)
+    model.head.weight = fresh
+    assert model.named_parameters()["head.weight"] is fresh
+    before = fresh.data.copy()
+    cfg = tr.TrainConfig(base_lr=1e-2, warmup_epochs=0, total_epochs=1,
+                         batch_size=len(data.samples), mixup_alpha=0.0, seed=0)
+    tr.train_epoch(model, data, cfg, 0, tr.OptimizerState())  # one step
+    assert (fresh.data != before).any()
+
 # ---------------------------------------------------------------------------
 # evaluation
 
