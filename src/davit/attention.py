@@ -9,11 +9,13 @@ H*W spatial map, so every channel token is globally receptive.
 
 Both kernels share one parameter layout: a fused C -> 3C q/k/v linear
 map and a C -> C output projection. In the channel kernel the q/k/v and
-projection maps are applied group-blockwise (a channel only mixes with
-channels of its own group), which keeps groups fully independent: a
-perturbation inside one group leaves every other group's output
-bitwise unchanged. With a single group the block mask is all ones and
-the kernel reduces to the dense map.
+projection maps use only the diagonal blocks of those weights, one
+Cg x Cg block per group (a channel only mixes with channels of its own
+group), which keeps groups fully independent: a perturbation inside one
+group leaves every other group's output bitwise unchanged, and the
+off-diagonal entries get zero gradient. With a single group the one
+diagonal block is the whole weight and the kernel reduces to the dense
+map.
 """
 
 from __future__ import annotations
@@ -121,20 +123,16 @@ def window_reverse(windows, grid):
     return t
 
 
-def _split_heads(t, num_heads, head_width):
-    # (T, n, C) -> (T*num_heads, n, head_width)
-    tt, n, _ = t.shape
-    t = ad.reshape(t, (tt, n, num_heads, head_width))
-    t = ad.transpose(t, (0, 2, 1, 3))
-    return ad.reshape(t, (tt * num_heads, n, head_width))
+def _attend(qkv, scale, mask=None):
+    """Scaled dot-product attention on a (3, T, tokens, width) q/k/v stack.
 
-
-def _merge_heads(t, num_heads, head_width):
-    tn, n, _ = t.shape
-    tt = tn // num_heads
-    t = ad.reshape(t, (tt, num_heads, n, head_width))
-    t = ad.transpose(t, (0, 2, 1, 3))
-    return ad.reshape(t, (tt, n, num_heads * head_width))
+    Returns the (T, tokens, width) output and the (T, tokens, tokens)
+    attention weights.
+    """
+    q, k, v = qkv[0], qkv[1], qkv[2]
+    logits = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), scale)
+    attn = ad.softmax(logits, axis=-1, mask=mask)
+    return ad.matmul(attn, v), attn
 
 
 def spatial_window_attention(x, p, window_size, return_weights=False):
@@ -149,21 +147,19 @@ def spatial_window_attention(x, p, window_size, return_weights=False):
     ch = p.head_width
     nh = c // ch
     windows, grid = window_partition(x, window_size)
+    t, n, _ = windows.shape
 
     qkv = ad.add(ad.matmul(windows, p.qkv_weight), p.qkv_bias)
-    q = _split_heads(qkv[:, :, :c], nh, ch)
-    k = _split_heads(qkv[:, :, c : 2 * c], nh, ch)
-    v = _split_heads(qkv[:, :, 2 * c :], nh, ch)
-
-    logits = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(ch))
+    qkv = ad.transpose(ad.reshape(qkv, (t, n, 3, nh, ch)), (2, 0, 3, 1, 4))
+    qkv = ad.reshape(qkv, (3, t * nh, n, ch))  # heads folded into the window axis
     if grid.pad_mask.all():
         mask = None
     else:
         keys = np.tile(grid.window_key_mask(), (b, 1))  # (B*nW, w^2)
         mask = np.repeat(keys, nh, axis=0)[:, None, :]  # broadcast over queries
-    attn = ad.softmax(logits, axis=-1, mask=mask)
+    out, attn = _attend(qkv, 1.0 / np.sqrt(ch), mask)
 
-    out = _merge_heads(ad.matmul(attn, v), nh, ch)
+    out = ad.reshape(ad.transpose(ad.reshape(out, (t, nh, n, ch)), (0, 2, 1, 3)), (t, n, c))
     out = ad.add(ad.matmul(out, p.proj_weight), p.proj_bias)
     out = window_reverse(out, grid)
     if return_weights:
@@ -171,25 +167,23 @@ def spatial_window_attention(x, p, window_size, return_weights=False):
     return out
 
 
-_GROUP_MASKS: dict = {}
+def _diagonal_blocks(w, ng, k):
+    """The (Ng, Cg, k*Cg) diagonal blocks of a (C, k*C) weight, one per group.
+
+    The columns of w are k parts of C channels each (q, k and v for the
+    qkv map); block g holds the rows of group g and, in every part, the
+    columns of group g.
+    """
+    cg = w.shape[0] // ng
+    d = np.arange(ng)
+    return ad.reshape(ad.reshape(w, (ng, cg, k, ng, cg))[d, :, :, d, :], (ng, cg, k * cg))
 
 
-def _group_masks(c, cg):
-    """Block masks confining the qkv and proj maps to within-group mixing."""
-    key = (c, cg)
-    if key not in _GROUP_MASKS:
-        same = (np.arange(c)[:, None] // cg) == (np.arange(c)[None, :] // cg)
-        _GROUP_MASKS[key] = (np.tile(same, (1, 3)).astype(np.float64),
-                             same.astype(np.float64))
-    return _GROUP_MASKS[key]
-
-
-def channel_group_attention(x, p, scale_mode="group_width", return_weights=False):
+def channel_group_attention(x, p, return_weights=False):
     """Single-head self-attention over channel tokens, grouped by group width.
 
-    Each channel's token carries the full H*W map as its feature vector.
-    scale_mode picks the softmax temperature: "group_width" scales
-    logits by 1/sqrt(C_g), "feature_length" by 1/sqrt(H*W).
+    Each channel's token carries the full H*W map as its feature vector;
+    logits are scaled by 1/sqrt(C_g).
     """
     b, h, wd, c = x.shape
     if c != p.channels:
@@ -197,37 +191,17 @@ def channel_group_attention(x, p, scale_mode="group_width", return_weights=False
     cg = p.head_width
     ng = c // cg
     n = h * wd
-    if scale_mode == "group_width":
-        scale = 1.0 / np.sqrt(cg)
-    elif scale_mode == "feature_length":
-        scale = 1.0 / np.sqrt(n)
-    else:
-        raise ValueError(f"unknown scale_mode {scale_mode!r}")
 
-    qkv_mask, proj_mask = _group_masks(c, cg)
-    qkv_w = ad.mul(p.qkv_weight, ad.Tensor(qkv_mask.astype(p.qkv_weight.dtype)))
-    proj_w = ad.mul(p.proj_weight, ad.Tensor(proj_mask.astype(p.proj_weight.dtype)))
+    groups = ad.transpose(ad.reshape(x, (b * n, ng, cg)), (1, 0, 2))  # (Ng, B*N, Cg)
+    qkv = ad.matmul(groups, _diagonal_blocks(p.qkv_weight, ng, 3))  # (Ng, B*N, 3Cg)
+    qkv = ad.transpose(ad.reshape(qkv, (ng, b, n, 3, cg)), (3, 1, 0, 4, 2))
+    qkv = ad.add(qkv, ad.reshape(p.qkv_bias, (3, 1, ng, cg, 1)))  # (3, B, Ng, Cg, N)
+    out, attn = _attend(ad.reshape(qkv, (3, b * ng, cg, n)), 1.0 / np.sqrt(cg))
 
-    tokens = ad.reshape(x, (b, n, c))
-    qkv = ad.add(ad.matmul(tokens, qkv_w), p.qkv_bias)
-
-    def to_groups(t):
-        # (B, N, C) -> (B*Ng, Cg, N): tokens are channels, features spatial
-        t = ad.transpose(t, (0, 2, 1))
-        return ad.reshape(t, (b * ng, cg, n))
-
-    q = to_groups(qkv[:, :, :c])
-    k = to_groups(qkv[:, :, c : 2 * c])
-    v = to_groups(qkv[:, :, 2 * c :])
-
-    logits = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), scale)
-    attn = ad.softmax(logits, axis=-1)
-    out = ad.matmul(attn, v)  # (B*Ng, Cg, N)
-
-    out = ad.reshape(out, (b, c, n))
-    out = ad.transpose(out, (0, 2, 1))
-    out = ad.add(ad.matmul(out, proj_w), p.proj_bias)
-    out = ad.reshape(out, (b, h, wd, c))
+    out = ad.transpose(ad.reshape(out, (b, ng, cg, n)), (1, 0, 3, 2))
+    out = ad.matmul(ad.reshape(out, (ng, b * n, cg)), _diagonal_blocks(p.proj_weight, ng, 1))
+    out = ad.reshape(ad.transpose(ad.reshape(out, (ng, b, h, wd, cg)), (1, 2, 3, 0, 4)), (b, h, wd, c))
+    out = ad.add(out, p.proj_bias)
     if return_weights:
         return out, attn.data
     return out

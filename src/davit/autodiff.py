@@ -124,9 +124,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, scale(_as_tensor(other, self.dtype), -1.0))
 
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, other)
@@ -134,11 +131,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise TypeError("tensor division supports scalar divisors only")
-        return scale(self, 1.0 / other)
 
     def __matmul__(self, other):
         return matmul(self, other)

@@ -172,9 +172,10 @@ def test_spatial_attention_grad():
                         p64.proj_weight.data, p64.proj_bias.data])
 
 
-def test_spatial_attention_grad_with_padding_mask():
+@pytest.mark.parametrize("shape", [(1, 4, 4, 2), (2, 3, 4, 2)], ids=["b1", "b2_3x4"])
+def test_spatial_attention_grad_with_padding_mask(shape):
     rng = np.random.default_rng(20)
-    x = rng.normal(size=(1, 4, 4, 2))
+    x = rng.normal(size=shape)
     p64 = make_params(2, 1, seed=21, dtype=np.float64)
 
     def build(ts):
@@ -249,20 +250,38 @@ def test_channel_spatial_permutation_equivariance():
     assert rel_err(outp, out[perm]) < 1e-6
 
 
-def test_channel_scale_modes_differ():
-    rng = np.random.default_rng(30)
-    x = rng.normal(size=(1, 4, 4, 4)).astype(np.float32)
-    p = make_params(4, 2, seed=31)
-    a = at.channel_group_attention(ad.Tensor(x.copy()), p, scale_mode="group_width").data
-    b = at.channel_group_attention(ad.Tensor(x.copy()), p, scale_mode="feature_length").data
-    assert (a != b).any()
-    with pytest.raises(ValueError):
-        at.channel_group_attention(ad.Tensor(x.copy()), p, scale_mode="nope")
+def test_channel_off_diagonal_blocks_are_inert():
+    # A channel mixes only with channels of its own group: entries of the
+    # qkv and proj weights that cross groups never reach the output and
+    # get exactly zero gradient.
+    rng = np.random.default_rng(34)
+    c, cg = 8, 4
+    x = rng.normal(size=(2, 3, 4, c)).astype(np.float32)
+    p = make_params(c, cg, seed=35)
+    same = np.arange(c)[:, None] // cg == np.arange(c)[None, :] // cg
+    same_qkv = np.tile(same, (1, 3))
+
+    def fill_off_diagonal(w, keep):
+        noise = rng.normal(0, 1.0, size=w.shape).astype(w.dtype)
+        return ad.Tensor(np.where(keep, w.data, noise), requires_grad=True)
+
+    noisy = at.AttentionParams(fill_off_diagonal(p.qkv_weight, same_qkv), p.qkv_bias,
+                               fill_off_diagonal(p.proj_weight, same), p.proj_bias, head_width=cg)
+    base = at.channel_group_attention(ad.Tensor(x.copy()), p).data
+    with ad.Tape():
+        out = at.channel_group_attention(ad.Tensor(x.copy()), noisy)
+        ad.backward(ad.tensor_sum(out))
+    assert (out.data == base).all()
+    assert (noisy.qkv_weight.grad[~same_qkv] == 0).all()
+    assert (noisy.proj_weight.grad[~same] == 0).all()
+    assert (noisy.qkv_weight.grad[same_qkv] != 0).any()
+    assert (noisy.proj_weight.grad[same] != 0).any()
 
 
-def test_channel_attention_grad():
+@pytest.mark.parametrize("shape", [(1, 4, 4, 4), (2, 3, 4, 4)], ids=["b1", "b2_3x4"])
+def test_channel_attention_grad(shape):
     rng = np.random.default_rng(32)
-    x = rng.normal(size=(1, 4, 4, 4))
+    x = rng.normal(size=shape)
     p64 = make_params(4, 2, seed=33, dtype=np.float64)
 
     def build(ts):
