@@ -3,8 +3,13 @@
 Every operation runs eagerly on numpy storage and, while a Tape is
 active, appends one replay node to it. Execution order is already a
 topological order, so the backward pass is a single reverse sweep over
-the tape. A tape can be replayed exactly once; replaying it again
-without re-running the forward pass raises GraphError.
+the tape. The sweep pops each node before replaying it, so a node's
+closure, its output and that output's gradient are released as soon as
+the node has run. A tape can be replayed exactly once; replaying it
+again without re-running the forward pass raises GraphError.
+
+Ops are module functions (add, matmul, reshape, tensor_sum, ...); the
+only operator Tensor defines is indexing, which is the slice op.
 
 Training and inference default to float32. Gradient-check tests build
 float64 tensors instead; operations preserve the dtype of their inputs.
@@ -115,26 +120,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other, self.dtype), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         raw = self.data[idx]
         if not isinstance(raw, np.ndarray):
@@ -149,21 +134,6 @@ class Tensor:
             _accum(src, buf)
 
         return _make("slice", out_data, (self,), run)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def backward(self):
-        backward(self)
 
 
 def _as_tensor(x, dtype=None):
@@ -219,12 +189,11 @@ def backward(loss):
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     tape.consumed = True
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        g = node.out.grad
-        if g is None:
-            continue
-        node.run(g)
-    tape.nodes.clear()
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
+        if node.out.grad is not None:
+            node.run(node.out.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -398,18 +367,8 @@ def matmul(a, b):
         raise ValueError(f"matmul batch extents disagree: {a.shape} @ {b.shape}")
 
     def run(g):
-        if ra == 2 and rb == 2:
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-        elif ra == 3 and rb == 3:
-            _accum(a, g @ b.data.transpose(0, 2, 1))
-            _accum(b, a.data.transpose(0, 2, 1) @ g)
-        elif ra == 2 and rb == 3:
-            _accum(a, (g @ b.data.transpose(0, 2, 1)).sum(axis=0))
-            _accum(b, a.data.T @ g)
-        else:
-            _accum(a, g @ b.data.T)
-            _accum(b, (a.data.transpose(0, 2, 1) @ g).sum(axis=0))
+        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make("matmul", a.data @ b.data, (a, b), run)
 
@@ -421,13 +380,16 @@ def matmul(a, b):
 def softmax(t, axis=-1, mask=None):
     """Stable softmax along one axis.
 
-    mask, when given, is a boolean array broadcastable to t's shape;
-    False entries are excluded and receive exactly zero weight. Every
-    slice along the axis must keep at least one True entry.
+    mask, when given, is a boolean array (or a Tensor of 0/1 values)
+    broadcastable to t's shape; False entries are excluded and receive
+    exactly zero weight. Every slice along the axis must keep at least
+    one True entry.
     """
     axis = axis % t.ndim
     z = t.data
     if mask is not None:
+        if isinstance(mask, Tensor):
+            mask = mask.data
         m = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
         if not m.any(axis=axis).all():
             raise ValueError("softmax mask excludes an entire slice")

@@ -87,7 +87,7 @@ def write_tensors(path, tensors: dict):
 
 
 def read_tensors(path) -> dict:
-    """Parse a checkpoint container back into named f32 arrays."""
+    """Parse a checkpoint container back into named f32 arrays the caller owns."""
     with open(path, "rb") as f:
         data = f.read()
 
@@ -110,7 +110,10 @@ def read_tensors(path) -> dict:
         off += 4
         if off + name_len > len(data):
             raise bad("truncated tensor name")
-        name = data[off : off + name_len].decode("utf-8")
+        try:
+            name = data[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise bad(f"tensor name at byte {off} is not UTF-8") from None
         off += name_len
         if off + 4 > len(data):
             raise bad(f"truncated rank for {name!r}")
@@ -190,11 +193,11 @@ def load_checkpoint(path, model):
         if name not in params:
             raise CheckpointMismatchError(f"checkpoint {path} holds unexpected tensor {name!r}")
     for name, t in params.items():
-        t.data = stored[name].astype(t.data.dtype)
+        t.data = stored[name].astype(t.data.dtype, copy=False)
 
     state = None
     if _OPT_STEP in tensors:
-        m = {k[len(_OPT_M):]: tensors[k].copy() for k in tensors if k.startswith(_OPT_M)}
-        v = {k[len(_OPT_V):]: tensors[k].copy() for k in tensors if k.startswith(_OPT_V)}
+        m = {k[len(_OPT_M):]: tensors[k] for k in tensors if k.startswith(_OPT_M)}
+        v = {k[len(_OPT_V):]: tensors[k] for k in tensors if k.startswith(_OPT_V)}
         state = OptimizerState(m=m, v=v, t=int(tensors[_OPT_STEP][0]))
     return state, meta

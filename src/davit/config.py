@@ -3,7 +3,8 @@
 Commands read a flat UTF-8 `key = value` file with one section per module
 ([model], [data], [train], [bench], [out]).  Every key has a default, unknown
 sections or keys are rejected, and all values are validated up front so a bad
-config fails before any long-running work starts.  Relative paths inside the
+config fails before any long-running work starts.  `#` starts a comment, and
+a key left empty takes its default.  Relative paths inside the
 file resolve against the config file's own directory.
 """
 
@@ -80,7 +81,7 @@ class _Section:
 
     def get(self, key, conv, default):
         raw = self.parser.get(self.name, key, fallback=None)
-        if raw is None:
+        if not raw:
             return default
         try:
             return conv(raw)
@@ -118,7 +119,7 @@ def load_run_config(path, seed=None, threshold=None) -> RunConfig:
     cfg_path = Path(path)
     if not cfg_path.is_file():
         raise ValueError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     with open(cfg_path, encoding="utf-8") as fh:
         parser.read_file(fh)
     for section in parser.sections():

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -146,6 +147,14 @@ def test_softmax_mask():
     assert out.data[1, 1] == 0.0 and out.data[1, 2] == 0.0
     assert out.data[1, 0] == 1.0
     assert abs(out.data[0, :2].sum() - 1.0) < 1e-6
+
+
+def test_softmax_tensor_mask_matches_array_mask():
+    x = ad.from_values((2, 3), [1, 2, 3, 4, 5, 6])
+    mask = np.array([[True, True, False], [True, False, False]])
+    want = ad.softmax(x, axis=1, mask=mask).data
+    got = ad.softmax(x, axis=1, mask=ad.Tensor(mask)).data
+    assert got.tobytes() == want.tobytes()
 
 
 def test_softmax_mask_all_false_slice():
@@ -326,6 +335,30 @@ def test_backward_nonscalar_rejected():
             ad.backward(out)
 
 
+def test_backward_releases_each_node():
+    # x -> scale -> scale -> sum: by the time the first node replays, the
+    # later nodes are gone and nothing holds the middle output any more.
+    x = ad.Tensor(np.ones(3), requires_grad=True)
+    with ad.Tape():
+        middle = ad.scale(ad.scale(x, 2.0), 3.0)
+        loss = ad.tensor_sum(middle)
+    middle_data = weakref.ref(middle.data)
+    del middle
+    first = loss._tape.nodes[0]
+    run = first.run
+    released = []
+
+    def probe(g):
+        released.append(middle_data() is None)
+        run(g)
+
+    first.run = probe
+    del first
+    ad.backward(loss)
+    assert released == [True]
+    assert (x.grad == 6.0).all()
+
+
 def test_no_tape_means_no_recording():
     x = ad.Tensor(np.array([1.0]), requires_grad=True)
     out = ad.scale(x, 2.0)
@@ -353,7 +386,7 @@ def test_grad_scale_neg_sub():
     rng = np.random.default_rng(22)
     a = rng.normal(size=(2, 3))
     b = rng.normal(size=(2, 3))
-    check_grads(lambda ts: ad.tensor_sum(ad.scale(ts[0], 2.5) - ts[1]), [a, b])
+    check_grads(lambda ts: ad.tensor_sum(ad.add(ad.scale(ts[0], 2.5), ad.scale(ts[1], -1.0))), [a, b])
 
 
 def test_grad_matmul_plain_and_batched():

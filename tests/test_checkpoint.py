@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -72,6 +73,16 @@ def test_corrupt_files_rejected(tmp_path):
         ck.read_tensors(path)
     path.write_bytes(raw + b"\x00")
     with pytest.raises(ck.CorruptCheckpointError, match="trailing"):
+        ck.read_tensors(path)
+
+
+def test_non_utf8_tensor_name_rejected(tmp_path):
+    path = tmp_path / "name.ckpt"
+    ck.write_tensors(path, {"w": np.ones((2,), dtype=np.float32)})
+    raw = bytearray(path.read_bytes())
+    raw[16] = 0xFF  # first byte of the first name, after the 12-byte header and its length
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ck.CorruptCheckpointError, match=f"{re.escape(str(path))}.*UTF-8"):
         ck.read_tensors(path)
 
 

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import json
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +245,16 @@ def test_config_defaults(tmp_path):
     assert rc.upweight_factor == 4.0 and rc.upweight_tag is None
     assert (rc.bench_batch_size, rc.bench_warmup_iters, rc.bench_timed_iters) == (1, 20, 100)
     assert rc.out_dir == str(tmp_path / "runs")
+
+
+def test_readme_config_reference_loads_to_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Config reference.*?```ini\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "readme.cfg").write_text(block, encoding="utf-8")
+    (tmp_path / "empty.cfg").write_text("", encoding="utf-8")
+    rc = load_run_config(tmp_path / "readme.cfg")
+    assert rc.manifest == str(tmp_path / "data/manifest.csv")
+    assert dataclasses.replace(rc, manifest=None) == load_run_config(tmp_path / "empty.cfg")
 
 
 def test_config_overrides(tmp_path):
