@@ -11,6 +11,12 @@ again without re-running the forward pass raises GraphError.
 Ops are module functions (add, matmul, reshape, tensor_sum, ...); the
 only operator Tensor defines is indexing, which is the slice op.
 
+Each forward op's output is scanned for NaN and Inf, which raise
+NonFiniteError naming the op. The movement ops (reshape, transpose,
+slice, pad) are not scanned: their outputs hold only input values and
+zeros, so they cannot make a non-finite value, and the first arithmetic
+op that consumes one still raises.
+
 Training and inference default to float32. Gradient-check tests build
 float64 tensors instead; operations preserve the dtype of their inputs.
 """
@@ -26,10 +32,20 @@ DEFAULT_DTYPE = np.float32
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Abramowitz & Stegun 7.1.26 for erf(x / sqrt(2)): p / sqrt(2), and a1..a5 / 2
+_AS_P = 0.3275911 * _INV_SQRT2
+_AS_HALF_A = tuple(0.5 * a for a in (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429))
+# float32 gelu works on blocks of this many values so its temporaries stay in cache
+_BLOCK = 1 << 15
 
 
 class NonFiniteError(ArithmeticError):
-    """A forward operation produced NaN or Inf."""
+    """A forward arithmetic op produced NaN or Inf, or passed one on.
+
+    Every op output is scanned except those of reshape, transpose, slice
+    and pad, which only move values; a non-finite value they carry raises
+    at the first arithmetic op that consumes it.
+    """
 
 
 class GraphError(RuntimeError):
@@ -68,8 +84,11 @@ def _active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+_MOVE_OPS = frozenset(("reshape", "transpose", "slice", "pad"))
+
+
 def _ensure_finite(arr, op):
-    if not np.isfinite(arr).all():
+    if op not in _MOVE_OPS and not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -416,16 +435,63 @@ def log_softmax(t, axis=-1):
 
 
 def gelu(t):
-    """Exact-erf Gaussian error linear unit, x * Phi(x)."""
+    """Gaussian error linear unit, x * Phi(x), with Phi the standard normal CDF.
+
+    float64 input uses the exact erf. float32 input uses Abramowitz &
+    Stegun 7.1.26 (|erf error| <= 1.5e-7): with t = 1 / (1 + p|x|/sqrt(2))
+    and h = poly(t) * exp(-x^2/2) / 2, Phi = 1/2 + copysign(1/2 - h, x).
+    In float32 arithmetic Phi stays within 5e-7 of the exact value (the
+    largest error a dense sweep of float32 inputs found is 3.6e-7).
+    """
     x = t.data
-    phi = 0.5 * (1.0 + special.erf(x * _INV_SQRT2))
-    out_data = x * phi
+    if x.dtype == np.float64:
+        phi = 0.5 * (1.0 + special.erf(x * _INV_SQRT2))
+        out_data = x * phi
+    else:
+        phi, out_data = _gelu_f32(x)
 
     def run(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        _accum(t, g * (phi + x * pdf))
+        # g * (phi + x * pdf), built in one buffer in the same operation order
+        buf = np.multiply(x, -0.5)
+        buf *= x
+        np.exp(buf, out=buf)
+        buf *= _INV_SQRT2PI
+        buf *= x
+        buf += phi
+        buf *= g
+        _accum(t, buf)
 
     return _make("gelu", out_data, (t,), run)
+
+
+def _gelu_f32(x):
+    """(Phi(x), x * Phi(x)) by A&S 7.1.26, in blocks that stay in cache."""
+    xf = x.reshape(-1)
+    phi = np.empty_like(xf)
+    out = np.empty_like(xf)
+    tmp = np.empty(min(_BLOCK, xf.size), dtype=xf.dtype)
+    # x * x overflows for |x| > 1.8e19; exp(-inf) = 0 is then the right limit.
+    with np.errstate(over="ignore"):
+        for i in range(0, xf.size, _BLOCK):
+            xb, pb, ob = xf[i : i + _BLOCK], phi[i : i + _BLOCK], out[i : i + _BLOCK]
+            q = tmp[: xb.size]
+            np.abs(xb, out=pb)
+            pb *= _AS_P
+            pb += 1.0
+            np.reciprocal(pb, out=pb)
+            np.multiply(pb, _AS_HALF_A[-1], out=q)
+            for a in _AS_HALF_A[-2::-1]:
+                q += a
+                q *= pb
+            np.multiply(xb, xb, out=pb)
+            pb *= -0.5
+            np.exp(pb, out=pb)
+            q *= pb
+            np.subtract(0.5, q, out=q)
+            np.copysign(q, xb, out=q)
+            np.add(q, 0.5, out=pb)
+            np.multiply(xb, pb, out=ob)
+    return phi.reshape(x.shape), out.reshape(x.shape)
 
 
 def layer_norm(t, gamma, beta, eps=1e-5):

@@ -10,7 +10,10 @@ and optimizer state travel in the same container under reserved
 "__meta__." / "__opt__." names so the format stays one flat tensor
 list. Validation counts are stored instead of the accuracy ratio so a
 resumed run can reproduce the recorded accuracy exactly (correct/total
-in 64-bit division, the same arithmetic evaluate uses).
+in 64-bit division, the same arithmetic evaluate uses). The counts
+(epoch, val_correct, val_total, the AdamW step t) are stored as f32
+values, so save_checkpoint raises ValueError naming the field when one
+lies outside [0, 2**24].
 
 Round-trips are bitwise exact for f32 tensors. A malformed container
 (bad magic, bad version, truncation) raises CorruptCheckpointError; a
@@ -21,6 +24,7 @@ CheckpointMismatchError naming the first offending tensor.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -36,6 +40,7 @@ _META_HASH = "__meta__.config_hash"
 _OPT_STEP = "__opt__.t"
 _OPT_M = "__opt__.m."
 _OPT_V = "__opt__.v."
+_MAX_COUNT = 2**24  # float32 holds every integer in [0, 2**24] exactly
 
 
 class CorruptCheckpointError(ValueError):
@@ -123,7 +128,7 @@ def read_tensors(path) -> dict:
             raise bad(f"truncated extents for {name!r}")
         shape = struct.unpack_from(f"<{rank}I", data, off)
         off += 4 * rank
-        n = int(np.prod(shape)) if rank else 1
+        n = math.prod(shape)
         if off + 4 * n > len(data):
             raise bad(f"truncated data for {name!r}")
         arr = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(shape)
@@ -137,17 +142,24 @@ def read_tensors(path) -> dict:
 def save_checkpoint(model, path, state=None, meta: CheckpointMeta | None = None):
     tensors = {name: t.data for name, t in model.named_parameters().items()}
     meta = meta or CheckpointMeta(config_hash=model_config_hash(model.config))
-    tensors[_META_EPOCH] = np.array([meta.epoch], dtype=np.float32)
-    tensors[_META_CORRECT] = np.array([meta.val_correct], dtype=np.float32)
-    tensors[_META_TOTAL] = np.array([meta.val_total], dtype=np.float32)
+    tensors[_META_EPOCH] = _count("epoch", meta.epoch)
+    tensors[_META_CORRECT] = _count("val_correct", meta.val_correct)
+    tensors[_META_TOTAL] = _count("val_total", meta.val_total)
     tensors[_META_HASH] = np.frombuffer(meta.config_hash, dtype=np.uint8).astype(np.float32)
     if state is not None:
-        tensors[_OPT_STEP] = np.array([state.t], dtype=np.float32)
+        tensors[_OPT_STEP] = _count("t", state.t)
         for name, m in state.m.items():
             tensors[_OPT_M + name] = m
         for name, v in state.v.items():
             tensors[_OPT_V + name] = v
     write_tensors(path, tensors)
+
+
+def _count(field, value):
+    if not 0 <= value <= _MAX_COUNT:
+        raise ValueError(f"checkpoint field {field} = {value} lies outside [0, 2**24], "
+                         "the integers a float32 holds exactly")
+    return np.array([value], dtype=np.float32)
 
 
 def read_meta(path) -> CheckpointMeta:

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import special
 
 from davit import autodiff as ad
 from conftest import check_grads, rel_err
@@ -279,6 +280,53 @@ def test_gelu_values():
     assert abs(out[2] - 0.841345) < 1e-6
 
 
+# float32 gelu (Abramowitz & Stegun 7.1.26) against the float64 exact-erf path:
+# the docstring bounds the float32 Phi error by 5e-7, so |gelu error| <= 5e-7 * |x|
+def test_gelu_f32_matches_exact_erf():
+    half_steps = np.arange(0.5, 6.01, 0.5)
+    grid = np.concatenate([[0.0, 1e-6, -1e-6, 1e4, -1e4, 1e30, -1e30], half_steps, -half_steps])
+    x32 = grid.astype(np.float32)
+    out = ad.gelu(ad.Tensor(x32)).data
+    assert out.dtype == np.float32
+    ref = ad.gelu(ad.Tensor(x32.astype(np.float64))).data
+    assert (np.abs(out - ref) <= 5e-7 * np.abs(x32.astype(np.float64))).all()
+    assert out[0] == 0.0
+
+
+def test_gelu_f32_blocks_match_pieces():
+    x = np.random.default_rng(30).normal(0.0, 3.0, size=ad._BLOCK + 3).astype(np.float32)
+    whole = ad.gelu(ad.Tensor(x)).data
+    cuts = [0, 5, ad._BLOCK + 1, x.size]
+    pieces = [ad.gelu(ad.Tensor(x[lo:hi].copy())).data for lo, hi in zip(cuts, cuts[1:])]
+    assert whole.tobytes() == np.concatenate(pieces).tobytes()
+
+
+def test_gelu_f32_noncontiguous_input():
+    x = np.random.default_rng(31).normal(size=(40, 70)).astype(np.float32).T
+    assert not x.flags.c_contiguous
+    out = ad.gelu(ad.Tensor(x)).data
+    assert out.tobytes() == ad.gelu(ad.Tensor(np.ascontiguousarray(x))).data.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_backward_equals_formula_bitwise(dtype):
+    rng = np.random.default_rng(32)
+    x = ad.Tensor(rng.normal(0.0, 2.0, size=(6, 50)).astype(dtype), requires_grad=True)
+    w = rng.normal(size=(6, 50)).astype(dtype)
+    with ad.Tape():
+        loss = ad.tensor_sum(ad.mul(ad.gelu(x), ad.Tensor(w.copy())))
+        ad.backward(loss)
+    xd = x.data
+    if dtype == np.float32:
+        phi = ad._gelu_f32(xd)[0]
+    else:
+        phi = 0.5 * (1.0 + special.erf(xd * ad._INV_SQRT2))
+    pdf = np.exp(-0.5 * xd * xd) * ad._INV_SQRT2PI
+    want = w * (phi + xd * pdf)
+    assert x.grad.dtype == dtype
+    assert x.grad.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # backward semantics
 
@@ -369,6 +417,14 @@ def test_nonfinite_forward_rejected():
     big = ad.Tensor(np.array([1e300], dtype=np.float64))
     with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError):
         ad.mul(big, big)
+
+
+def test_nonfinite_passes_movement_ops_and_raises_at_arithmetic():
+    leaf = ad.Tensor(np.array([[1.0, np.nan, 2.0], [3.0, 4.0, 5.0]], dtype=np.float32))
+    moved = ad.pad(ad.transpose(ad.reshape(leaf, (3, 2)), (1, 0)), ((0, 0), (1, 1)))[:, 1:4]
+    assert np.isnan(moved.data).any()
+    with pytest.raises(ad.NonFiniteError, match="add"):
+        ad.add(moved, moved)
 
 
 # ---------------------------------------------------------------------------

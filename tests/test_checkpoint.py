@@ -86,6 +86,16 @@ def test_non_utf8_tensor_name_rejected(tmp_path):
         ck.read_tensors(path)
 
 
+@pytest.mark.parametrize("extents", [(65536,) * 4, (2**32 - 1, 2**32 - 1, 2)])
+def test_extent_product_overflow_rejected(tmp_path, extents):
+    # the int64 product of these extents wraps to 0 and to a negative count
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(b"DVTF" + struct.pack("<III", 1, 1, 1) + b"w"
+                     + struct.pack(f"<I{len(extents)}I", len(extents), *extents) + bytes(16))
+    with pytest.raises(ck.CorruptCheckpointError, match=f"{re.escape(str(path))}.*truncated data"):
+        ck.read_tensors(path)
+
+
 # ---------------------------------------------------------------------------
 # model round-trip
 
@@ -152,6 +162,29 @@ def test_metadata_round_trip_exact_accuracy(tmp_path):
     assert back.val_correct == 757 and back.val_total == 760
     assert back.val_accuracy == 757 / 760  # counts survive, ratio is exact
     assert back.config_hash == meta.config_hash
+
+
+@pytest.mark.parametrize("field, meta, state", [
+    ("epoch", ck.CheckpointMeta(epoch=2**24 + 1), None),
+    ("val_correct", ck.CheckpointMeta(val_correct=-1), None),
+    ("val_total", ck.CheckpointMeta(val_total=2**31), None),
+    ("t", None, OptimizerState(t=2**24 + 1)),
+])
+def test_counts_outside_exact_f32_range_rejected(tmp_path, field, meta, state):
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match=rf"\b{field} = "):
+        ck.save_checkpoint(toy_model(seed=14), path, state=state, meta=meta)
+    assert not path.exists()
+
+
+def test_count_limit_round_trips(tmp_path):
+    src = toy_model(seed=15)
+    path = tmp_path / "m.ckpt"
+    meta = ck.CheckpointMeta(epoch=2**24, val_correct=2**24 - 1, val_total=2**24,
+                             config_hash=ck.model_config_hash(src.config))
+    ck.save_checkpoint(src, path, state=OptimizerState(t=2**24), meta=meta)
+    state, back = ck.load_checkpoint(path, toy_model(seed=16))
+    assert (back.epoch, back.val_correct, back.val_total, state.t) == (2**24, 2**24 - 1, 2**24, 2**24)
 
 
 def test_optimizer_state_round_trip(tmp_path):
