@@ -149,7 +149,7 @@ def spatial_window_attention(x, p, window_size, return_weights=False):
     windows, grid = window_partition(x, window_size)
     t, n, _ = windows.shape
 
-    qkv = ad.add(ad.matmul(windows, p.qkv_weight), p.qkv_bias)
+    qkv = ad.linear(windows, p.qkv_weight, p.qkv_bias)
     qkv = ad.transpose(ad.reshape(qkv, (t, n, 3, nh, ch)), (2, 0, 3, 1, 4))
     qkv = ad.reshape(qkv, (3, t * nh, n, ch))  # heads folded into the window axis
     if grid.pad_mask.all():
@@ -160,7 +160,7 @@ def spatial_window_attention(x, p, window_size, return_weights=False):
     out, attn = _attend(qkv, 1.0 / np.sqrt(ch), mask)
 
     out = ad.reshape(ad.transpose(ad.reshape(out, (t, nh, n, ch)), (0, 2, 1, 3)), (t, n, c))
-    out = ad.add(ad.matmul(out, p.proj_weight), p.proj_bias)
+    out = ad.linear(out, p.proj_weight, p.proj_bias)
     out = window_reverse(out, grid)
     if return_weights:
         return out, attn.data

@@ -8,7 +8,7 @@ closure, its output and that output's gradient are released as soon as
 the node has run. A tape can be replayed exactly once; replaying it
 again without re-running the forward pass raises GraphError.
 
-Ops are module functions (add, matmul, reshape, tensor_sum, ...); the
+Ops are module functions (add, matmul, linear, reshape, tensor_sum, ...); the
 only operator Tensor defines is indexing, which is the slice op.
 
 Each forward op's output is scanned for NaN and Inf, which raise
@@ -166,7 +166,13 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        # A C-contiguous g of the right dtype is kept as is, so one array can
+        # be the .grad of several tensors (add hands g to both inputs). This
+        # relies on nothing writing a .grad in place. Other layouts are copied.
+        if g.dtype == t.data.dtype and g.flags.c_contiguous:
+            t.grad = g
+        else:
+            t.grad = g.astype(t.data.dtype, copy=True)
     else:
         t.grad = t.grad + g
 
@@ -392,6 +398,28 @@ def matmul(a, b):
     return _make("matmul", a.data @ b.data, (a, b), run)
 
 
+def linear(x, w, b):
+    """x @ w + b over every leading axis of x, as one GEMM.
+
+    x is (..., K), w is (K, N) and b is (N,); the leading axes of x are
+    folded into the rows of a single (rows, K) @ (K, N) product.
+    """
+    k, n = w.shape
+    if x.shape[-1] != k or b.shape != (n,):
+        raise ValueError(f"linear needs x (..., {k}) and b ({n},), got {x.shape} and {b.shape}")
+    x2 = x.data.reshape(-1, k)
+    out_data = x2 @ w.data
+    out_data += b.data
+
+    def run(g):
+        g2 = g.reshape(-1, n)
+        _accum(w, x2.T @ g2)
+        _accum(b, g2.sum(axis=0))
+        _accum(x, (g2 @ w.data.T).reshape(x.shape))
+
+    return _make("linear", out_data.reshape(x.shape[:-1] + (n,)), (x, w, b), run)
+
+
 # ---------------------------------------------------------------------------
 # nonlinearities and normalization
 
@@ -451,9 +479,11 @@ def gelu(t):
         phi, out_data = _gelu_f32(x)
 
     def run(g):
-        # g * (phi + x * pdf), built in one buffer in the same operation order
-        buf = np.multiply(x, -0.5)
-        buf *= x
+        # g * (phi + x * pdf), built in one buffer in the same operation order;
+        # x * x overflows for huge |x|, where exp(-inf) = 0 is the right limit
+        with np.errstate(over="ignore"):
+            buf = np.multiply(x, -0.5)
+            buf *= x
         np.exp(buf, out=buf)
         buf *= _INV_SQRT2PI
         buf *= x

@@ -237,11 +237,7 @@ def patch_embed(x, sp: StageParams, s: StageConfig):
 
 
 def _ffn(x, f: FFNParams):
-    b, h, w, c = x.shape
-    t = ad.reshape(x, (b * h * w, c))
-    t = ad.gelu(ad.add(ad.matmul(t, f.w1), f.b1))
-    t = ad.add(ad.matmul(t, f.w2), f.b2)
-    return ad.reshape(t, (b, h, w, c))
+    return ad.linear(ad.gelu(ad.linear(x, f.w1, f.b1)), f.w2, f.b2)
 
 
 def _norm(x, n: NormParams):
@@ -276,7 +272,7 @@ def forward(model: Model, images) -> ad.Tensor:
     x = ad.transpose(x, (0, 2, 3, 1))
     x = _norm(x, model.head.norm)
     x = ad.tensor_mean(x, axis=(1, 2))  # global average pool
-    return ad.add(ad.matmul(x, model.head.weight), model.head.bias)
+    return ad.linear(x, model.head.weight, model.head.bias)
 
 
 def count_params(model: Model) -> int:

@@ -103,6 +103,10 @@ def adamw_step(params: dict, state: OptimizerState, cfg: TrainConfig, lr):
     """One decoupled-weight-decay Adam update over named parameters.
 
     Parameters without a gradient are skipped (their moments stay put).
+    Per parameter this is m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    p = p - lr*((m/bc1) / (sqrt(v/bc2) + eps) + wd*p), run operation by
+    operation in m, v and two scratch buffers, so the bits are those of
+    the expression; the second buffer becomes the new parameter array.
     """
     if lr <= 0:
         raise ValueError("lr must be > 0")
@@ -118,10 +122,23 @@ def adamw_step(params: dict, state: OptimizerState, cfg: TrainConfig, lr):
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m = state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        v = state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps) + cfg.weight_decay * p.data
-        p.data = p.data - lr * update
+        m, v = state.m[name], state.v[name]
+        update = np.multiply(g, 1.0 - cfg.beta1)
+        m *= cfg.beta1
+        m += update
+        np.multiply(g, g, out=update)
+        update *= 1.0 - cfg.beta2
+        v *= cfg.beta2
+        v += update
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += cfg.eps
+        np.divide(m, bc1, out=update)
+        update /= denom
+        np.multiply(p.data, cfg.weight_decay, out=denom)
+        update += denom
+        update *= lr
+        p.data = np.subtract(p.data, update, out=denom)
 
 
 def zero_grads(params: dict):

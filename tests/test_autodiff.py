@@ -116,6 +116,35 @@ def test_matmul_shape_errors():
 
 
 # ---------------------------------------------------------------------------
+# linear
+
+
+def test_linear_rank2_equals_matmul_add_bitwise():
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=(5, 7)).astype(np.float32)
+    w = rng.normal(size=(7, 3)).astype(np.float32)
+    b = rng.normal(size=(3,)).astype(np.float32)
+    got = ad.linear(ad.Tensor(x.copy()), ad.Tensor(w.copy()), ad.Tensor(b.copy())).data
+    want = ad.add(ad.matmul(ad.Tensor(x.copy()), ad.Tensor(w.copy())), ad.Tensor(b.copy())).data
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
+def test_linear_shape_errors():
+    with pytest.raises(ValueError):
+        ad.linear(ad.zeros((2, 3)), ad.zeros((4, 2)), ad.zeros((2,)))
+    with pytest.raises(ValueError):
+        ad.linear(ad.zeros((2, 3)), ad.zeros((3, 2)), ad.zeros((3,)))
+
+
+def test_linear_nonfinite_output_raises():
+    x, w = ad.ones((2, 3)), ad.ones((3, 2))
+    b = ad.Tensor(np.array([0.0, np.inf], dtype=np.float32))
+    with pytest.raises(ad.NonFiniteError, match="linear"):
+        ad.linear(x, w, b)
+
+
+# ---------------------------------------------------------------------------
 # softmax / log_softmax
 
 
@@ -327,6 +356,16 @@ def test_gelu_backward_equals_formula_bitwise(dtype):
     assert x.grad.tobytes() == want.tobytes()
 
 
+def test_gelu_backward_huge_input_does_not_overflow():
+    # x * x is inf in float32 past 1.8e19; the gradient there is exactly 1
+    x = ad.Tensor(np.array([1e20, 1.0], dtype=np.float32), requires_grad=True)
+    with ad.Tape():
+        loss = ad.tensor_sum(ad.gelu(x))
+        ad.backward(loss)
+    assert x.grad[0] == 1.0
+    assert abs(x.grad[1] - 1.0833155) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # backward semantics
 
@@ -357,6 +396,19 @@ def test_backward_accumulates_across_uses():
         loss = ad.tensor_sum(ad.add(ad.mul(x, x), x))  # x^2 + x
         ad.backward(loss)
     assert np.allclose(x.grad, [5.0])  # 2x + 1 at x=2
+
+
+def test_backward_shared_gradient_is_not_written_in_place():
+    # The outer add hands one gradient array to a and to the inner add, which
+    # hands it on to a and b; accumulating into a's .grad in place would
+    # change b's to 2.
+    a = ad.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    b = ad.Tensor(np.array([4.0, 5.0, 6.0]), requires_grad=True)
+    with ad.Tape():
+        loss = ad.tensor_sum(ad.add(ad.add(a, b), a))
+        ad.backward(loss)
+    assert (a.grad == 2.0).all()
+    assert (b.grad == 1.0).all()
 
 
 def test_backward_detached_rejected():
@@ -455,6 +507,14 @@ def test_grad_matmul_plain_and_batched():
                 [rng.normal(size=(3, 2)), rng.normal(size=(2, 2, 4))])
     check_grads(lambda ts: ad.tensor_sum(ad.matmul(ts[0], ts[1])),
                 [rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 4))])
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 12, 4)], ids=["rank2", "b2_3x4"])
+def test_grad_linear(shape):
+    rng = np.random.default_rng(34)
+    weights = rng.normal(size=shape[:-1] + (3,))
+    check_grads(lambda ts: ad.tensor_sum(ad.mul(ad.linear(ts[0], ts[1], ts[2]), ad.Tensor(weights.copy()))),
+                [rng.normal(size=shape), rng.normal(size=(4, 3)), rng.normal(size=(3,))])
 
 
 def test_grad_reshape_transpose_pad_slice():

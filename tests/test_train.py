@@ -151,6 +151,32 @@ def test_missing_grad_skipped_and_shape_checked():
         tr.adamw_step({"a": a}, state, cfg, lr=0.1)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_in_place_equals_expression_bitwise(dtype):
+    cfg = tr.TrainConfig(weight_decay=0.05)
+    rng = np.random.default_rng(40)
+    p = ad.Tensor(rng.normal(size=(5, 7)).astype(dtype), requires_grad=True)
+    want, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+    state = tr.OptimizerState()
+    for t, lr in enumerate((1e-3, 3e-3, 2e-3), start=1):
+        g = rng.normal(size=(5, 7)).astype(dtype)
+        p.grad = g.copy()
+        before = p.data
+        kept = before.copy()
+        tr.adamw_step({"w": p}, state, cfg, lr)
+        assert before.tobytes() == kept.tobytes()  # the old array is not written
+        # reference: the plain expression, one temporary per operation
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+        bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps) + cfg.weight_decay * want
+        want = want - lr * update
+        assert p.data.dtype == state.m["w"].dtype == state.v["w"].dtype == dtype
+        assert p.data.tobytes() == want.tobytes()
+        assert state.m["w"].tobytes() == m.tobytes()
+        assert state.v["w"].tobytes() == v.tobytes()
+
+
 def test_moments_accumulate_across_steps():
     cfg = tr.TrainConfig(weight_decay=0.0)
     params = single_param(0.0)
