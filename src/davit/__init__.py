@@ -18,7 +18,7 @@ from davit.attention import (
 )
 from davit.autodiff import GraphError, NonFiniteError, Tape, Tensor, backward
 from davit.augment import apply_policy, mixup, parse_policy, sample_lambda, weighted_sampler
-from davit.bench import BenchReport, compare_models, measure_fps
+from davit.bench import BenchReport, measure_fps
 from davit.checkpoint import (
     CheckpointMeta,
     CheckpointMismatchError,
@@ -75,7 +75,6 @@ __all__ = [
     "backward",
     "build_model",
     "channel_group_attention",
-    "compare_models",
     "count_params",
     "count_params_formula",
     "default_config",

@@ -26,12 +26,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 DEFAULT_DTYPE = np.float32
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# erf for float64 gelu: math.erf per element, returned as an object array
+_ERF = np.frompyfunc(math.erf, 1, 1)
 # Abramowitz & Stegun 7.1.26 for erf(x / sqrt(2)): p / sqrt(2), and a1..a5 / 2
 _AS_P = 0.3275911 * _INV_SQRT2
 _AS_HALF_A = tuple(0.5 * a for a in (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429))
@@ -149,10 +150,24 @@ class Tensor:
 
         def run(g):
             buf = np.zeros_like(src.data)
-            buf[idx] = g.reshape(raw_shape)
+            if _selects_twice(buf.shape, idx, g.size):
+                np.add.at(buf, idx, g.reshape(raw_shape))
+            else:
+                buf[idx] = g.reshape(raw_shape)
             _accum(src, buf)
 
         return _make("slice", out_data, (self,), run)
+
+
+def _selects_twice(shape, idx, n):
+    # True when an integer-array index picks one of its n elements twice. Only
+    # then is np.add.at needed; assignment is faster and keeps -0.0 as -0.0.
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    if not any(np.ndim(p) and np.asarray(p).dtype.kind in "iu" for p in parts):
+        return False
+    hit = np.zeros(shape, dtype=bool)
+    hit[idx] = True
+    return int(hit.sum()) < n
 
 
 def _as_tensor(x, dtype=None):
@@ -378,22 +393,18 @@ def tensor_mean(t, axis=None, keepdims=False):
 
 
 def matmul(a, b):
-    """Matrix product for rank-2 or batched rank-3 operands.
+    """Matrix product of two rank-2 or two rank-3 operands.
 
-    Both sides rank 3 must share the batch extent; a rank-2 side is
-    broadcast across the other side's batch.
+    Rank-3 operands must share the batch extent; nothing is broadcast.
     """
-    ra, rb = a.ndim, b.ndim
-    if ra not in (2, 3) or rb not in (2, 3):
-        raise ValueError(f"matmul supports rank 2 or 3 operands, got {ra} and {rb}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    if ra == 3 and rb == 3 and a.shape[0] != b.shape[0]:
-        raise ValueError(f"matmul batch extents disagree: {a.shape} @ {b.shape}")
+    if a.ndim != b.ndim or a.ndim not in (2, 3):
+        raise ValueError(f"matmul needs two rank-2 or two rank-3 operands, got {a.shape} @ {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"matmul extents disagree: {a.shape} @ {b.shape}")
 
     def run(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _make("matmul", a.data @ b.data, (a, b), run)
 
@@ -465,7 +476,7 @@ def log_softmax(t, axis=-1):
 def gelu(t):
     """Gaussian error linear unit, x * Phi(x), with Phi the standard normal CDF.
 
-    float64 input uses the exact erf. float32 input uses Abramowitz &
+    float64 input uses math.erf per element. float32 input uses Abramowitz &
     Stegun 7.1.26 (|erf error| <= 1.5e-7): with t = 1 / (1 + p|x|/sqrt(2))
     and h = poly(t) * exp(-x^2/2) / 2, Phi = 1/2 + copysign(1/2 - h, x).
     In float32 arithmetic Phi stays within 5e-7 of the exact value (the
@@ -473,7 +484,7 @@ def gelu(t):
     """
     x = t.data
     if x.dtype == np.float64:
-        phi = 0.5 * (1.0 + special.erf(x * _INV_SQRT2))
+        phi = 0.5 * (1.0 + _ERF(x * _INV_SQRT2).astype(np.float64))
         out_data = x * phi
     else:
         phi, out_data = _gelu_f32(x)

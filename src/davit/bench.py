@@ -110,27 +110,6 @@ def measure_fps(model, input_shape=None, warmup_iters: int = 20,
     return report
 
 
-def compare_models(configs, names=None, batch_size: int = 1,
-                   warmup_iters: int = 20, timed_iters: int = 100,
-                   seed: int = 0, environment=None):
-    """Benchmark one model per config; reports sorted by fps descending."""
-    if not configs:
-        raise ValueError("compare_models needs at least one config")
-    if names is None:
-        names = [f"model{i}" for i in range(len(configs))]
-    if len(names) != len(configs):
-        raise ValueError("one name per config required")
-    reports = []
-    for name, cfg in zip(names, configs):
-        model = md.build_model(cfg, seed=seed)
-        shape = (batch_size, cfg.input_channels, cfg.input_size, cfg.input_size)
-        reports.append(measure_fps(
-            model, shape, warmup_iters=warmup_iters, timed_iters=timed_iters,
-            seed=seed, model_name=name, environment=environment))
-    reports.sort(key=lambda r: r.fps, reverse=True)
-    return reports
-
-
 def to_csv(reports) -> str:
     """Serialize reports to CSV; floats use repr so parsing is lossless."""
     buf = io.StringIO()

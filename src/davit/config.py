@@ -9,6 +9,7 @@ file resolve against the config file's own directory.
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,7 +85,10 @@ class _Section:
         if not raw:
             return default
         try:
-            return conv(raw)
+            value = conv(raw)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"not a finite number: {raw!r}")
+            return value
         except ValueError as exc:
             raise ValueError(f"[{self.name}] {key}: {exc}") from None
 

@@ -10,6 +10,7 @@ tensors scaled into [0, 1].
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -144,8 +145,8 @@ def load_dataset(manifest_path, class_names=None) -> Dataset:
                 weight = float(row["weight"])
             except ValueError:
                 raise row_error(idx, f"bad weight {row['weight']!r}") from None
-            if weight <= 0:
-                raise row_error(idx, f"weight must be > 0, got {weight}")
+            if not 0 < weight < math.inf:
+                raise row_error(idx, f"weight must be finite and > 0, got {weight}")
         samples.append(Sample(
             image=ad.Tensor(image),
             label=one_hot(index[label_name], len(class_names)),

@@ -136,33 +136,16 @@ def test_repeat_measurements_stable():
 
 
 # ---------------------------------------------------------------------------
-# comparison table and CSV
-
-
-def test_compare_models_sorted_and_cross_checked():
-    reports = bench.compare_models([tiny_config(8), tiny_config(4)],
-                                   names=["wide", "narrow"],
-                                   warmup_iters=2, timed_iters=10)
-    assert [r.fps for r in reports] == sorted((r.fps for r in reports), reverse=True)
-    by_name = {r.model_name: r for r in reports}
-    assert by_name["narrow"].param_count == md.count_params_formula(tiny_config(4))
-    assert by_name["wide"].param_count == md.count_params_formula(tiny_config(8))
+# table and CSV
 
 
 def test_single_config_single_row():
-    reports = bench.compare_models([tiny_config(4)], warmup_iters=0, timed_iters=2)
-    assert len(reports) == 1
+    reports = [bench.measure_fps(StillModel(), (1, 3, 4, 4), warmup_iters=0,
+                                 timed_iters=2, _clock=TickClock())]
     table = bench.format_table(reports)
     assert len(table.splitlines()) == 3  # header, rule, one row
     csv_text = bench.to_csv(reports)
     assert len(csv_text.splitlines()) == 2
-
-
-def test_empty_and_misnamed_compare_rejected():
-    with pytest.raises(ValueError, match="at least one"):
-        bench.compare_models([])
-    with pytest.raises(ValueError, match="per config"):
-        bench.compare_models([tiny_config(4)], names=["a", "b"])
 
 
 def test_csv_round_trip_lossless():

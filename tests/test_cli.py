@@ -283,6 +283,12 @@ def test_config_errors(tmp_path):
         load("[data]\ntrain_fraction = 0\n")
     with pytest.raises(ValueError, match="config file not found"):
         load_run_config(tmp_path / "absent.cfg")
+    for section, key in [("train", "base_lr"), ("train", "weight_decay"), ("train", "eps"),
+                         ("train", "mixup_alpha"), ("data", "upweight_factor"),
+                         ("model", "ffn_expansion")]:
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match=rf"\[{section}\] {key}: not a finite number"):
+                load(f"[{section}]\n{key} = {value}\n")
 
 
 def test_config_holdout_and_lists(tmp_path):

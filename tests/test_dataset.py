@@ -119,6 +119,11 @@ def test_load_rejects_unknown_columns_and_bad_weight(tmp_path):
                               header="relative_path,label_name,weight")
     with pytest.raises(ValueError, match="weight"):
         ds.load_dataset(manifest)
+    for bad in ("nan", "inf", "-inf"):
+        manifest = write_manifest(tmp_path, ["a.ppm,cat,1.0", f"a.ppm,cat,{bad}"],
+                                  header="relative_path,label_name,weight")
+        with pytest.raises(ValueError, match=r"row 3: weight must be finite and > 0"):
+            ds.load_dataset(manifest)
 
 
 def test_load_missing_manifest(tmp_path):
