@@ -81,15 +81,26 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
-def _active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+def _recording(inputs):
+    # True when an op on these inputs appends a tape node; ops keep buffers
+    # that only their backward reads (gelu's Phi, layer_norm's x-hat) only then
+    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
 
 
 _MOVE_OPS = frozenset(("reshape", "transpose", "slice", "pad"))
 
 
 def _ensure_finite(arr, op):
-    if op not in _MOVE_OPS and not np.isfinite(arr).all():
+    if op in _MOVE_OPS:
+        return
+    # The sum of squares is NaN or Inf whenever a value is; finite values whose
+    # squares overflow make it Inf too, and the exact scan then decides.
+    if arr.flags.c_contiguous:
+        flat = arr.reshape(-1)
+        with np.errstate(all="ignore"):
+            if np.isfinite(np.dot(flat, flat)):
+                return
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -195,11 +206,10 @@ def _accum(t, g):
 def _make(op, out_data, inputs, run):
     _ensure_finite(out_data, op)
     out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         out.requires_grad = True
-        out._tape = tape
-        tape.nodes.append(Node(op, out, run))
+        out._tape = _TAPE_STACK[-1]
+        out._tape.nodes.append(Node(op, out, run))
     return out
 
 
@@ -282,10 +292,12 @@ def trunc_normal(shape, mean=0.0, std=1.0, *, seed=None, rng=None, requires_grad
     if rng is None:
         rng = np.random.default_rng(seed)
     vals = rng.normal(mean, std, size=shape)
-    bad = np.abs(vals - mean) > 2.0 * std
-    while bad.any():
-        vals[bad] = rng.normal(mean, std, size=int(bad.sum()))
-        bad = np.abs(vals - mean) > 2.0 * std
+    flat = vals.reshape(-1)
+    # each round redraws the rejected entries in index order
+    bad = np.flatnonzero(np.abs(flat - mean) > 2.0 * std)
+    while bad.size:
+        flat[bad] = rng.normal(mean, std, size=bad.size)
+        bad = bad[np.abs(flat[bad] - mean) > 2.0 * std]
     return Tensor(vals.astype(dtype or DEFAULT_DTYPE), requires_grad)
 
 
@@ -441,20 +453,27 @@ def softmax(t, axis=-1, mask=None):
     mask, when given, is a boolean array (or a Tensor of 0/1 values)
     broadcastable to t's shape; False entries are excluded and receive
     exactly zero weight. Every slice along the axis must keep at least
-    one True entry.
+    one True entry. Unless axis is 0, the forward runs in cache-sized
+    blocks of the leading axis.
     """
     axis = axis % t.ndim
     z = t.data
     if mask is not None:
         if isinstance(mask, Tensor):
             mask = mask.data
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
-        if not m.any(axis=axis).all():
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
+        if not mask.any(axis=axis).all():
             raise ValueError("softmax mask excludes an entire slice")
-        z = np.where(m, z, -np.inf)
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = np.empty(z.shape, z.dtype)
+    lead = z.shape[0]
+    step = max(1, _BLOCK // (z.size // lead)) if axis else lead
+    for i in range(0, lead, step):
+        zb, sb = z[i : i + step], s[i : i + step]
+        if mask is not None:
+            zb = np.where(mask[i : i + step], zb, -np.inf)
+        np.subtract(zb, zb.max(axis=axis, keepdims=True), out=sb)
+        np.exp(sb, out=sb)
+        sb /= sb.sum(axis=axis, keepdims=True)
 
     def run(g):
         _accum(t, s * (g - (g * s).sum(axis=axis, keepdims=True)))
@@ -481,13 +500,14 @@ def gelu(t):
     and h = poly(t) * exp(-x^2/2) / 2, Phi = 1/2 + copysign(1/2 - h, x).
     In float32 arithmetic Phi stays within 5e-7 of the exact value (the
     largest error a dense sweep of float32 inputs found is 3.6e-7).
+    Phi is kept for the backward only while the op is recorded.
     """
     x = t.data
+    keep = _recording((t,))
     if x.dtype == np.float64:
-        phi = 0.5 * (1.0 + _ERF(x * _INV_SQRT2).astype(np.float64))
-        out_data = x * phi
+        phi, out_data = _gelu_blocks(x, _erf_phi, keep)
     else:
-        phi, out_data = _gelu_f32(x)
+        phi, out_data = _gelu_f32(x, keep)
 
     def run(g):
         # g * (phi + x * pdf), built in one buffer in the same operation order;
@@ -505,50 +525,89 @@ def gelu(t):
     return _make("gelu", out_data, (t,), run)
 
 
-def _gelu_f32(x):
+def _gelu_f32(x, keep_phi=True):
     """(Phi(x), x * Phi(x)) by A&S 7.1.26, in blocks that stay in cache."""
+    return _gelu_blocks(x, _as_phi, keep_phi)
+
+
+def _gelu_blocks(x, phi_of, keep_phi):
+    """(Phi(x), x * Phi(x)), with Phi from phi_of one cache-sized block at a time.
+
+    Without keep_phi, Phi lives in one block buffer and None stands in for it.
+    """
     xf = x.reshape(-1)
-    phi = np.empty_like(xf)
     out = np.empty_like(xf)
+    phi = np.empty_like(xf) if keep_phi else np.empty(min(_BLOCK, xf.size), dtype=xf.dtype)
     tmp = np.empty(min(_BLOCK, xf.size), dtype=xf.dtype)
-    # x * x overflows for |x| > 1.8e19; exp(-inf) = 0 is then the right limit.
+    # x * x overflows for |x| > 1.8e19 in float32; exp(-inf) = 0 is then the right limit.
     with np.errstate(over="ignore"):
         for i in range(0, xf.size, _BLOCK):
-            xb, pb, ob = xf[i : i + _BLOCK], phi[i : i + _BLOCK], out[i : i + _BLOCK]
-            q = tmp[: xb.size]
-            np.abs(xb, out=pb)
-            pb *= _AS_P
-            pb += 1.0
-            np.reciprocal(pb, out=pb)
-            np.multiply(pb, _AS_HALF_A[-1], out=q)
-            for a in _AS_HALF_A[-2::-1]:
-                q += a
-                q *= pb
-            np.multiply(xb, xb, out=pb)
-            pb *= -0.5
-            np.exp(pb, out=pb)
-            q *= pb
-            np.subtract(0.5, q, out=q)
-            np.copysign(q, xb, out=q)
-            np.add(q, 0.5, out=pb)
-            np.multiply(xb, pb, out=ob)
-    return phi.reshape(x.shape), out.reshape(x.shape)
+            xb = xf[i : i + _BLOCK]
+            pb = phi[i : i + _BLOCK] if keep_phi else phi[: xb.size]
+            phi_of(xb, pb, tmp[: xb.size])
+            np.multiply(xb, pb, out=out[i : i + _BLOCK])
+    return (phi.reshape(x.shape) if keep_phi else None), out.reshape(x.shape)
+
+
+def _as_phi(xb, pb, q):
+    np.abs(xb, out=pb)
+    pb *= _AS_P
+    pb += 1.0
+    np.reciprocal(pb, out=pb)
+    np.multiply(pb, _AS_HALF_A[-1], out=q)
+    for a in _AS_HALF_A[-2::-1]:
+        q += a
+        q *= pb
+    np.multiply(xb, xb, out=pb)
+    pb *= -0.5
+    np.exp(pb, out=pb)
+    q *= pb
+    np.subtract(0.5, q, out=q)
+    np.copysign(q, xb, out=q)
+    np.add(q, 0.5, out=pb)
+
+
+def _erf_phi(xb, pb, q):
+    pb[...] = _ERF(xb * _INV_SQRT2)
+    pb += 1.0
+    pb *= 0.5
 
 
 def layer_norm(t, gamma, beta, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The forward runs in cache-sized blocks of rows. x-hat and the per-row
+    1/std are kept for the backward only while the op is recorded.
+    """
     if eps <= 0:
         raise ValueError("eps must be > 0")
     n = t.shape[-1]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ValueError(f"gamma/beta must have shape ({n},), got {gamma.shape} and {beta.shape}")
-    x = t.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gamma.data + beta.data
+    x2 = t.data.reshape(-1, n)
+    rows = x2.shape[0]
+    step = max(1, _BLOCK // n)
+    keep = _recording((t, gamma, beta))
+    out = np.empty(x2.shape, np.result_type(x2, gamma.data, beta.data))
+    xhat = np.empty_like(x2) if keep else np.empty((min(step, rows), n), dtype=x2.dtype)
+    inv = np.empty((rows, 1), dtype=x2.dtype)
+    sq = np.empty((min(step, rows), n), dtype=x2.dtype)
+    for i in range(0, rows, step):
+        xb = x2[i : i + step]
+        hb = xhat[i : i + step] if keep else xhat[: len(xb)]
+        qb, ib, ob = sq[: len(xb)], inv[i : i + step], out[i : i + step]
+        np.subtract(xb, xb.mean(axis=-1, keepdims=True), out=hb)
+        np.multiply(hb, hb, out=qb)
+        np.add(qb.mean(axis=-1, keepdims=True), eps, out=ib)
+        np.sqrt(ib, out=ib)
+        np.divide(1.0, ib, out=ib)
+        hb *= ib
+        np.multiply(hb, gamma.data, out=ob)
+        ob += beta.data
+    out_data = out.reshape(t.shape)
+    if keep:
+        xhat = xhat.reshape(t.shape)
+        inv = inv.reshape(t.shape[:-1] + (1,))
 
     def run(g):
         dxhat = g * gamma.data

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -51,6 +53,28 @@ def test_trunc_normal_bound_and_determinism():
     assert (a.data == b.data).all()
     c = ad.trunc_normal((4, 4), 0.0, 0.02, seed=2)
     assert (a.data != c.data).any()
+
+
+def trunc_normal_whole_array(shape, mean, std, rng):
+    # Every round re-masks the whole array: the reference for the draws.
+    vals = rng.normal(mean, std, size=shape)
+    bad = np.abs(vals - mean) > 2.0 * std
+    while bad.any():
+        vals[bad] = rng.normal(mean, std, size=int(bad.sum()))
+        bad = np.abs(vals - mean) > 2.0 * std
+    return vals
+
+
+@pytest.mark.parametrize("shape", [(1,), (7, 5), (96, 288), (3, 4, 5, 6)])
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("mean,std", [(0.0, 0.02), (1.5, 3.0), (0.0, 0.0)])
+def test_trunc_normal_equals_whole_array_redraw(shape, seed, mean, std):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = trunc_normal_whole_array(shape, mean, std, ref_rng)
+    got = ad.trunc_normal(shape, mean, std, rng=rng, dtype=np.float64)
+    assert got.data.tobytes() == want.tobytes()
+    # both consumed the same draws, so the generators end in the same state
+    assert rng.normal() == ref_rng.normal()
 
 
 def test_zero_dim_promoted():
@@ -206,6 +230,58 @@ def test_log_softmax_matches_log_of_softmax():
     assert np.allclose(a, b, atol=1e-6)
 
 
+def softmax_formula(z, axis, mask=None):
+    # The whole-array forward the blocked op must reproduce bitwise.
+    if mask is not None:
+        z = np.where(np.broadcast_to(mask, z.shape), z, -np.inf)
+    z = z - z.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def window_key_mask(rng, t, n):
+    mask = rng.random((t, 1, n)) < 0.7
+    mask[:, :, 0] = True  # every query row keeps one key
+    return mask
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True])
+def test_softmax_blocks_match_pieces_and_formula(dtype, masked):
+    # 49 x 49 rows make blocks of 13 along the leading axis; 30 ends in a ragged 4
+    rng = np.random.default_rng(40)
+    step = ad._BLOCK // (49 * 49)
+    t = 2 * step + 4
+    z = rng.normal(0.0, 4.0, size=(t, 49, 49)).astype(dtype)
+    mask = window_key_mask(rng, t, 49) if masked else None
+    whole = ad.softmax(ad.Tensor(z.copy()), axis=-1, mask=mask).data
+    assert whole.tobytes() == softmax_formula(z, -1, mask).tobytes()
+    cuts = [0, 5, step + 1, t]
+    pieces = [ad.softmax(ad.Tensor(z[lo:hi].copy()), axis=-1, mask=None if mask is None else mask[lo:hi]).data
+              for lo, hi in zip(cuts, cuts[1:])]
+    assert whole.tobytes() == np.concatenate(pieces).tobytes()
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_softmax_other_axes_match_formula(axis):
+    z = np.random.default_rng(41).normal(size=(700, 60, 3)).astype(np.float32)
+    got = ad.softmax(ad.Tensor(z.copy()), axis=axis).data
+    assert got.tobytes() == softmax_formula(z, axis).tobytes()
+
+
+def test_softmax_backward_equals_formula_bitwise():
+    rng = np.random.default_rng(42)
+    t = 2 * (ad._BLOCK // (49 * 49)) + 4
+    z = rng.normal(size=(t, 49, 49)).astype(np.float32)
+    w = rng.normal(size=z.shape).astype(np.float32)
+    mask = window_key_mask(rng, t, 49)
+    x = ad.Tensor(z.copy(), requires_grad=True)
+    with ad.Tape():
+        ad.backward(ad.tensor_sum(ad.mul(ad.softmax(x, axis=-1, mask=mask), ad.Tensor(w.copy()))))
+    s = softmax_formula(z, -1, mask)
+    assert x.grad.tobytes() == (s * (w - (w * s).sum(axis=-1, keepdims=True))).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 
@@ -301,6 +377,90 @@ def test_layer_norm_statistics():
 def test_layer_norm_bad_eps():
     with pytest.raises(ValueError):
         ad.layer_norm(ad.zeros((2, 3)), ad.ones((3,)), ad.zeros((3,)), eps=0.0)
+
+
+def layer_norm_formula(x, gamma, beta, eps=1e-5):
+    # The whole-array forward the blocked op must reproduce bitwise.
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def layer_norm_inputs(dtype, seed):
+    # 96 channels make blocks of 341 rows; 3 x 229 = 687 rows end in a ragged 5
+    rng = np.random.default_rng(seed)
+    x = rng.normal(2.0, 3.0, size=(3, 229, 96)).astype(dtype)
+    gamma = rng.normal(1.0, 0.5, size=96).astype(dtype)
+    beta = rng.normal(0.0, 0.5, size=96).astype(dtype)
+    return x, gamma, beta
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_blocks_match_pieces_and_formula(dtype):
+    x, gamma, beta = layer_norm_inputs(dtype, 43)
+    assert x.reshape(-1, 96).shape[0] % (ad._BLOCK // 96) == 5
+    whole = ad.layer_norm(ad.Tensor(x.copy()), ad.Tensor(gamma), ad.Tensor(beta)).data
+    assert whole.tobytes() == layer_norm_formula(x, gamma, beta)[0].tobytes()
+    rows = x.reshape(-1, 96)
+    cuts = [0, 7, ad._BLOCK // 96 + 3, rows.shape[0]]
+    pieces = [ad.layer_norm(ad.Tensor(rows[lo:hi].copy()), ad.Tensor(gamma), ad.Tensor(beta)).data
+              for lo, hi in zip(cuts, cuts[1:])]
+    assert whole.reshape(-1, 96).tobytes() == np.concatenate(pieces).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_backward_equals_formula_bitwise(dtype):
+    x, gamma, beta = layer_norm_inputs(dtype, 44)
+    w = np.random.default_rng(45).normal(size=x.shape).astype(dtype)
+    ts = [ad.Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+    with ad.Tape():
+        ad.backward(ad.tensor_sum(ad.mul(ad.layer_norm(*ts), ad.Tensor(w.copy()))))
+    _, xhat, inv = layer_norm_formula(x, gamma, beta)
+    n = 96
+    dxhat = w * gamma
+    dx = (inv / n) * (n * dxhat - dxhat.sum(axis=-1, keepdims=True)
+                      - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
+    assert ts[0].grad.tobytes() == dx.tobytes()
+    assert ts[1].grad.tobytes() == (w * xhat).reshape(-1, n).sum(axis=0).tobytes()
+    assert ts[2].grad.tobytes() == w.reshape(-1, n).sum(axis=0).tobytes()
+
+
+def traced_peak(fn, *args):
+    """Peak bytes tracemalloc sees while fn(*args) runs, its result included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak
+
+
+def test_off_tape_forward_peaks_stay_near_output_size():
+    # Off a tape, gelu keeps no Phi and layer_norm no x-hat: the output plus
+    # cache-sized block buffers is all the memory these forwards take.
+    rng = np.random.default_rng(46)
+    x = ad.Tensor(rng.normal(size=(4096, 96)).astype(np.float32))
+    g, b = ad.ones((96,)), ad.zeros((96,))
+    assert traced_peak(ad.layer_norm, x, g, b) <= 1.5 * x.data.nbytes
+    for dtype in (np.float32, np.float64):
+        x = ad.Tensor(rng.normal(size=1 << 20).astype(dtype))
+        assert traced_peak(ad.gelu, x) <= 1.5 * x.data.nbytes
+    z = ad.Tensor(rng.normal(size=(512, 49, 49)).astype(np.float32))
+    mask = window_key_mask(rng, 512, 49)
+    assert traced_peak(ad.softmax, z, -1, mask) <= 1.5 * z.data.nbytes
+
+
+def test_gelu_f64_forward_peak_below_3x_input():
+    # math.erf makes one Python float per value; blocks bound those temporaries
+    x = ad.Tensor(np.random.default_rng(47).normal(size=1 << 20), requires_grad=True)
+    with ad.Tape():
+        assert traced_peak(ad.gelu, x) < 3 * x.data.nbytes
 
 
 def test_gelu_values():
@@ -521,6 +681,28 @@ def test_nonfinite_passes_movement_ops_and_raises_at_arithmetic():
     assert np.isnan(moved.data).any()
     with pytest.raises(ad.NonFiniteError, match="add"):
         ad.add(moved, moved)
+
+
+def test_finite_output_whose_squares_overflow_passes_silently():
+    # 1e20 ** 2 overflows float32, so the one-dot check falls back to the scan
+    x = ad.Tensor(np.full((4, 8), 1e20, dtype=np.float32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.scale(x, 1.0)
+    assert (out.data == np.float32(1e20)).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_nonfinite_raises_in_any_layout(dtype, bad, transposed):
+    data = np.random.default_rng(48).normal(size=(37, 41)).astype(dtype)
+    data[36, 40] = bad
+    if transposed:
+        data = data.T
+    assert (data * 1.0).flags.c_contiguous == (not transposed)
+    with pytest.raises(ad.NonFiniteError, match="scale produced non-finite"):
+        ad.scale(ad.Tensor(data), 1.0)
 
 
 # ---------------------------------------------------------------------------
