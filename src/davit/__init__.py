@@ -13,8 +13,6 @@ from davit.attention import (
     channel_group_attention,
     init_attention_params,
     spatial_window_attention,
-    window_partition,
-    window_reverse,
 )
 from davit.autodiff import GraphError, NonFiniteError, Tape, Tensor, backward
 from davit.augment import apply_policy, mixup, parse_policy, sample_lambda, weighted_sampler
@@ -98,7 +96,5 @@ __all__ = [
     "stage_output_sizes",
     "train_epoch",
     "weighted_sampler",
-    "window_partition",
-    "window_reverse",
     "write_ppm",
 ]

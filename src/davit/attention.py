@@ -63,66 +63,6 @@ def init_attention_params(channels, head_width, rng, dtype=None):
     )
 
 
-@dataclass
-class WindowGrid:
-    """Geometry of a padded window partition; pad_mask marks real tokens."""
-
-    window_size: int
-    padded_h: int
-    padded_w: int
-    original_h: int
-    original_w: int
-    pad_mask: np.ndarray  # (padded_h, padded_w) bool, True = real token
-
-    @property
-    def num_windows(self):
-        return (self.padded_h // self.window_size) * (self.padded_w // self.window_size)
-
-    def window_key_mask(self):
-        """Per-window key mask, shape (num_windows, window_size**2)."""
-        w = self.window_size
-        m = self.pad_mask.reshape(self.padded_h // w, w, self.padded_w // w, w)
-        return m.transpose(0, 2, 1, 3).reshape(self.num_windows, w * w)
-
-
-def window_partition(fmap, window_size):
-    """Split a B x H x W x C map into (B*nW) x w^2 x C token windows.
-
-    The map is zero-padded on the bottom/right to multiples of
-    window_size; the returned grid records which padded tokens are real.
-    """
-    if window_size < 1:
-        raise ValueError("window_size must be >= 1")
-    b, h, wd, c = fmap.shape
-    w = window_size
-    ph = -(-h // w) * w
-    pw = -(-wd // w) * w
-    grid = WindowGrid(w, ph, pw, h, wd, np.zeros((ph, pw), dtype=bool))
-    grid.pad_mask[:h, :wd] = True
-    if (ph, pw) != (h, wd):
-        fmap = ad.pad(fmap, ((0, 0), (0, ph - h), (0, pw - wd), (0, 0)))
-    t = ad.reshape(fmap, (b, ph // w, w, pw // w, w, c))
-    t = ad.transpose(t, (0, 1, 3, 2, 4, 5))
-    return ad.reshape(t, (b * grid.num_windows, w * w, c)), grid
-
-
-def window_reverse(windows, grid):
-    """Inverse of window_partition; padded tokens are discarded."""
-    w = grid.window_size
-    nw = grid.num_windows
-    if windows.ndim != 3 or windows.shape[1] != w * w or windows.shape[0] % nw:
-        raise ValueError(f"windows shape {windows.shape} inconsistent with grid "
-                         f"({nw} windows of {w * w} tokens)")
-    b = windows.shape[0] // nw
-    c = windows.shape[2]
-    t = ad.reshape(windows, (b, grid.padded_h // w, grid.padded_w // w, w, w, c))
-    t = ad.transpose(t, (0, 1, 3, 2, 4, 5))
-    t = ad.reshape(t, (b, grid.padded_h, grid.padded_w, c))
-    if (grid.padded_h, grid.padded_w) != (grid.original_h, grid.original_w):
-        t = t[:, : grid.original_h, : grid.original_w, :]
-    return t
-
-
 def _attend(qkv, scale, mask=None):
     """Scaled dot-product attention on a (3, T, tokens, width) q/k/v stack.
 
@@ -138,30 +78,42 @@ def _attend(qkv, scale, mask=None):
 def spatial_window_attention(x, p, window_size, return_weights=False):
     """Multi-head self-attention inside non-overlapping spatial windows.
 
-    x is B x H x W x C. Padded tokens (bottom/right fill) are excluded
-    from the softmax, so they draw zero attention weight.
+    x is B x H x W x C. The q/k/v and output maps run on the real tokens
+    only; the q/k/v stack is zero-padded on the bottom/right to whole
+    windows, and padded keys are excluded from the softmax, so they draw
+    zero attention weight. Weights come back as (B*nW*nh, w^2, w^2),
+    heads innermost.
     """
+    if window_size < 1:
+        raise ValueError("window_size must be >= 1")
     b, h, wd, c = x.shape
     if c != p.channels:
         raise ValueError(f"input has {c} channels, params expect {p.channels}")
     ch = p.head_width
     nh = c // ch
-    windows, grid = window_partition(x, window_size)
-    t, n, _ = windows.shape
+    w = window_size
+    ph = -(-h // w) * w
+    pw = -(-wd // w) * w
+    nwh, nww = ph // w, pw // w
 
-    qkv = ad.linear(windows, p.qkv_weight, p.qkv_bias)
-    qkv = ad.transpose(ad.reshape(qkv, (t, n, 3, nh, ch)), (2, 0, 3, 1, 4))
-    qkv = ad.reshape(qkv, (3, t * nh, n, ch))  # heads folded into the window axis
-    if grid.pad_mask.all():
-        mask = None
-    else:
-        keys = np.tile(grid.window_key_mask(), (b, 1))  # (B*nW, w^2)
-        mask = np.repeat(keys, nh, axis=0)[:, None, :]  # broadcast over queries
+    qkv = ad.linear(x, p.qkv_weight, p.qkv_bias)  # (B, H, W, 3C)
+    mask = None
+    if (ph, pw) != (h, wd):
+        qkv = ad.pad(qkv, ((0, 0), (0, ph - h), (0, pw - wd), (0, 0)))
+        real = np.zeros((ph, pw), dtype=bool)
+        real[:h, :wd] = True
+        keys = real.reshape(nwh, w, nww, w).transpose(0, 2, 1, 3).reshape(nwh * nww, w * w)
+        mask = np.repeat(np.tile(keys, (b, 1)), nh, axis=0)[:, None, :]  # (B*nW*nh, 1, w^2)
+    qkv = ad.transpose(ad.reshape(qkv, (b, nwh, w, nww, w, 3, nh, ch)), (5, 0, 1, 3, 6, 2, 4, 7))
+    # rebind qkv so the padded stack is freed once its windowed copy exists, not held through _attend
+    qkv = ad.reshape(qkv, (3, b * nwh * nww * nh, w * w, ch))  # (window, head) batch order
     out, attn = _attend(qkv, 1.0 / np.sqrt(ch), mask)
 
-    out = ad.reshape(ad.transpose(ad.reshape(out, (t, nh, n, ch)), (0, 2, 1, 3)), (t, n, c))
+    out = ad.transpose(ad.reshape(out, (b, nwh, nww, nh, w, w, ch)), (0, 1, 4, 2, 5, 3, 6))
+    out = ad.reshape(out, (b, ph, pw, c))
+    if (ph, pw) != (h, wd):
+        out = out[:, :h, :wd, :]
     out = ad.linear(out, p.proj_weight, p.proj_bias)
-    out = window_reverse(out, grid)
     if return_weights:
         return out, attn.data
     return out

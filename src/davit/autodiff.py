@@ -94,13 +94,13 @@ def _ensure_finite(arr, op):
     if op in _MOVE_OPS:
         return
     # The sum of squares is NaN or Inf whenever a value is; finite values whose
-    # squares overflow make it Inf too, and the exact scan then decides.
-    if arr.flags.c_contiguous:
-        flat = arr.reshape(-1)
-        with np.errstate(all="ignore"):
-            if np.isfinite(np.dot(flat, flat)):
-                return
-    if not np.isfinite(arr).all():
+    # squares overflow make it Inf too, and the exact scan then decides. Op
+    # outputs are dense in some axis order, so ravel in memory order is a view.
+    flat = np.ravel(arr, order="K")
+    with np.errstate(all="ignore"):
+        if np.isfinite(np.dot(flat, flat)):
+            return
+    if not np.isfinite(flat).all():
         raise NonFiniteError(f"{op} produced non-finite values")
 
 

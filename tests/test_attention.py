@@ -24,78 +24,6 @@ def softmax_rows(z):
 
 
 # ---------------------------------------------------------------------------
-# window partition / reverse
-
-
-def test_partition_75_pads_to_77():
-    x = ad.zeros((1, 75, 75, 2))
-    windows, grid = at.window_partition(x, 7)
-    assert (grid.padded_h, grid.padded_w) == (77, 77)
-    assert grid.num_windows == 121
-    assert windows.shape == (121, 49, 2)
-    assert grid.pad_mask.sum() == 75 * 75
-
-
-def test_partition_14_no_padding():
-    x = ad.zeros((2, 14, 14, 3))
-    windows, grid = at.window_partition(x, 7)
-    assert grid.num_windows == 4
-    assert windows.shape == (8, 49, 3)
-    assert grid.pad_mask.all()
-
-
-def test_partition_whole_map_is_row_major_flatten():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(1, 5, 5, 3)).astype(np.float32)
-    windows, grid = at.window_partition(ad.Tensor(x.copy()), 5)
-    assert grid.num_windows == 1
-    assert (windows.data[0] == x[0].reshape(25, 3)).all()
-
-
-def test_round_trip_with_padding_bitwise():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(2, 75, 75, 4)).astype(np.float32)
-    windows, grid = at.window_partition(ad.Tensor(x.copy()), 7)
-    back = at.window_reverse(windows, grid)
-    assert (back.data == x).all()
-
-
-def test_round_trip_no_padding_bitwise():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(1, 14, 14, 2)).astype(np.float32)
-    windows, grid = at.window_partition(ad.Tensor(x.copy()), 7)
-    back = at.window_reverse(windows, grid)
-    assert (back.data == x).all()
-
-
-def test_degenerate_1x1_returns_single_token():
-    x = ad.from_values((1, 1, 1, 3), [1.0, 2.0, 3.0])
-    windows, grid = at.window_partition(x, 7)
-    assert windows.shape == (1, 49, 3)
-    back = at.window_reverse(windows, grid)
-    assert back.shape == (1, 1, 1, 3)
-    assert back.data.reshape(-1).tolist() == [1.0, 2.0, 3.0]
-
-
-def test_reverse_shape_mismatch():
-    x = ad.zeros((1, 14, 14, 2))
-    windows, grid = at.window_partition(x, 7)
-    with pytest.raises(ValueError):
-        at.window_reverse(ad.zeros((3, 49, 2)), grid)
-    with pytest.raises(ValueError):
-        at.window_reverse(ad.zeros((4, 25, 2)), grid)
-
-
-def test_partition_grad_flows_through_padding():
-    x = ad.Tensor(np.ones((1, 3, 3, 1), dtype=np.float32), requires_grad=True)
-    with ad.Tape():
-        windows, grid = at.window_partition(x, 2)
-        loss = ad.tensor_sum(windows)
-        ad.backward(loss)
-    assert (x.grad == 1).all()
-
-
-# ---------------------------------------------------------------------------
 # spatial window attention
 
 
@@ -120,6 +48,26 @@ def test_full_window_equals_global_attention_oracle():
     out = at.spatial_window_attention(ad.Tensor(x.copy()), p, window_size=6)
     want = mhsa_oracle(x[0].reshape(36, 8), p, num_heads=2)
     assert rel_err(out.data[0].reshape(36, 8), want) < 1e-5
+
+
+def test_padded_windows_equal_per_window_oracle():
+    # 5x8 at window 3 pads to 6x9: six windows per image, five of them part padding
+    rng = np.random.default_rng(36)
+    x = rng.normal(size=(2, 5, 8, 4))
+    p = make_params(4, 2, seed=37, dtype=np.float64)
+    out, weights = at.spatial_window_attention(ad.Tensor(x.copy()), p, window_size=3, return_weights=True)
+    assert out.shape == x.shape
+    assert weights.shape == (2 * 6 * 2, 9, 9)
+    for b in range(2):
+        for i in range(0, 5, 3):
+            for j in range(0, 8, 3):
+                want = mhsa_oracle(x[b, i : i + 3, j : j + 3].reshape(-1, 4), p, num_heads=2)
+                assert rel_err(out.data[b, i : i + 3, j : j + 3].reshape(-1, 4), want) < 1e-5
+    # windows per image and head: 75 pads to 77 (11 x 11), 14 needs no padding (2 x 2)
+    p = make_params(2, 1, seed=38)
+    for b, size, n in [(1, 75, 121), (2, 14, 4)]:
+        _, weights = at.spatial_window_attention(ad.zeros((b, size, size, 2)), p, 7, return_weights=True)
+        assert weights.shape == (b * n * 2, 49, 49)
 
 
 def test_single_real_token_per_window():
@@ -154,8 +102,9 @@ def test_attention_weights_rows_sum_to_one_padded_inert():
     _, weights = at.spatial_window_attention(ad.Tensor(x.copy()), p, window_size=3, return_weights=True)
     assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-6
     # padded key positions carry no weight anywhere
-    _, grid = at.window_partition(ad.Tensor(x.copy()), 3)
-    keys = np.repeat(np.tile(grid.window_key_mask(), (1, 1)), 2, axis=0)
+    real = np.zeros((6, 6), dtype=bool)
+    real[:5, :5] = True
+    keys = np.repeat(real.reshape(2, 3, 2, 3).transpose(0, 2, 1, 3).reshape(4, 9), 2, axis=0)
     assert weights[~np.broadcast_to(keys[:, None, :], weights.shape)].max() < 1e-12
 
 
@@ -303,6 +252,8 @@ def test_params_validation():
         at.AttentionParams(ad.zeros((4, 12)), ad.zeros((12,)), ad.zeros((4, 4)), ad.zeros((4,)), 3)
     with pytest.raises(ValueError):
         at.spatial_window_attention(ad.zeros((1, 4, 4, 6)), make_params(4, 2, 0), 2)
+    with pytest.raises(ValueError, match="window_size"):
+        at.spatial_window_attention(ad.zeros((1, 4, 4, 4)), make_params(4, 2, 0), 0)
 
 
 def test_init_attention_params_deterministic():

@@ -703,6 +703,15 @@ def test_nonfinite_raises_in_any_layout(dtype, bad, transposed):
     assert (data * 1.0).flags.c_contiguous == (not transposed)
     with pytest.raises(ad.NonFiniteError, match="scale produced non-finite"):
         ad.scale(ad.Tensor(data), 1.0)
+    # a strided view is not dense in any order: ravel copies, the check stays exact
+    with pytest.raises(ad.NonFiniteError, match="scale produced non-finite"):
+        ad._ensure_finite(data[:, ::2], "scale")
+
+
+def test_finite_check_of_dense_transposed_output_allocates_nothing():
+    data = np.random.default_rng(49).normal(size=(1024, 1024)).astype(np.float32).T
+    assert not data.flags.c_contiguous
+    assert traced_peak(ad._ensure_finite, data, "scale") < data.nbytes / 8
 
 
 # ---------------------------------------------------------------------------
