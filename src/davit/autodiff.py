@@ -504,10 +504,7 @@ def gelu(t):
     """
     x = t.data
     keep = _recording((t,))
-    if x.dtype == np.float64:
-        phi, out_data = _gelu_blocks(x, _erf_phi, keep)
-    else:
-        phi, out_data = _gelu_f32(x, keep)
+    phi, out_data = _gelu_blocks(x, _erf_phi if x.dtype == np.float64 else _as_phi, keep)
 
     def run(g):
         # g * (phi + x * pdf), built in one buffer in the same operation order;
@@ -523,11 +520,6 @@ def gelu(t):
         _accum(t, buf)
 
     return _make("gelu", out_data, (t,), run)
-
-
-def _gelu_f32(x, keep_phi=True):
-    """(Phi(x), x * Phi(x)) by A&S 7.1.26, in blocks that stay in cache."""
-    return _gelu_blocks(x, _as_phi, keep_phi)
 
 
 def _gelu_blocks(x, phi_of, keep_phi):

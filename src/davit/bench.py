@@ -12,6 +12,7 @@ import io
 import math
 import platform
 import time
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,19 +128,8 @@ def from_csv(text: str):
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
-    rows = []
-    for row in reader:
-        rows.append({
-            "model_name": row["model_name"],
-            "param_count": int(row["param_count"]),
-            "batch_size": int(row["batch_size"]),
-            "fps": float(row["fps"]),
-            "lat_mean_ms": float(row["lat_mean_ms"]),
-            "lat_p50_ms": float(row["lat_p50_ms"]),
-            "lat_p95_ms": float(row["lat_p95_ms"]),
-            "environment": row["environment"],
-        })
-    return rows
+    types = typing.get_type_hints(BenchReport)
+    return [{name: types[name](row[name]) for name in CSV_COLUMNS} for row in reader]
 
 
 def format_table(reports) -> str:

@@ -35,6 +35,8 @@ def upweight_tagged(ds, tag, factor) -> int:
 
 
 def _load_splits(rc):
+    if rc.manifest is None:
+        raise CliError("config is missing [data] manifest")
     ds = load_dataset(rc.manifest)
     train_ds, val_ds = split_dataset(ds, rc.train_fraction, rc.split_seed,
                                      holdout_tags=rc.holdout_tags)
@@ -53,16 +55,7 @@ def _check_config_hash(meta, model_cfg, force):
             raise CliError("config hash mismatch; pass --force to load anyway")
 
 
-def _need(rc, field, hint):
-    value = getattr(rc, field)
-    if value is None:
-        raise CliError(f"config is missing {hint}")
-    return value
-
-
-def cmd_train(args) -> int:
-    rc = load_run_config(args.config, seed=args.seed, threshold=args.threshold)
-    _need(rc, "manifest", "[data] manifest")
+def cmd_train(args, rc) -> int:
     train_ds, val_ds = _load_splits(rc)
     if rc.upweight_tag is not None:
         hits = upweight_tagged(train_ds, rc.upweight_tag, rc.upweight_factor)
@@ -114,9 +107,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    rc = load_run_config(args.config, seed=args.seed, threshold=args.threshold)
-    _need(rc, "manifest", "[data] manifest")
+def cmd_eval(args, rc) -> int:
     if args.init_from is None:
         raise CliError("eval needs --init-from <checkpoint>")
     _, val_ds = _load_splits(rc)
@@ -132,8 +123,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    rc = load_run_config(args.config, seed=args.seed, threshold=args.threshold)
+def cmd_bench(args, rc) -> int:
     model = md.build_model(rc.model, seed=rc.train.seed)
     shape = (rc.bench_batch_size, rc.model.input_channels,
              rc.model.input_size, rc.model.input_size)
@@ -149,8 +139,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_inspect(args) -> int:
-    rc = load_run_config(args.config, seed=args.seed, threshold=args.threshold)
+def cmd_inspect(args, rc) -> int:
     sizes = md.stage_output_sizes(rc.model)
     print(f"input: {rc.model.input_size}")
     for i, (size, stage) in enumerate(zip(sizes, rc.model.stages), start=1):
@@ -185,11 +174,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = load_run_config(args.config, seed=args.seed, threshold=args.threshold)
+        return args.func(args, rc)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-    except ck.CorruptCheckpointError as exc:
-        print(f"error: corrupt checkpoint: {exc}", file=sys.stderr)
     except ck.CheckpointMismatchError as exc:
         print(f"error: checkpoint mismatch: {exc}", file=sys.stderr)
     except (ValueError, OSError) as exc:

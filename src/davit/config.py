@@ -6,28 +6,29 @@ sections or keys are rejected, and all values are validated up front so a bad
 config fails before any long-running work starts.  `#` starts a comment, and
 a key left empty takes its default.  Relative paths inside the
 file resolve against the config file's own directory.
+
+The dataclasses own their sections' keys and defaults.  Every `TrainConfig`
+field is a [train] key with that field's type and default.  [model] reads
+the scalar `ModelConfig` fields and one list per `StageConfig` field, all
+defaulting to `model.default_config()`.  Only [train] threshold and the
+[data], [bench] and [out] keys are declared here.  A key is known when the
+loader reads it; any other key is rejected before values are range-checked.
 """
 
 import configparser
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import model as md
 from .train import TrainConfig
 
-_KNOWN_KEYS = {
-    "model": {"input_size", "num_classes", "input_channels", "ffn_expansion",
-              "channels", "depths", "windows", "head_widths",
-              "embed_kernels", "embed_strides", "embed_pads"},
-    "data": {"manifest", "train_fraction", "split_seed", "holdout_tags",
-             "upweight_tag", "upweight_factor", "policy"},
-    "train": {"base_lr", "warmup_epochs", "total_epochs", "batch_size",
-              "weight_decay", "beta1", "beta2", "eps", "mixup_alpha",
-              "seed", "threshold", "cosine_decay"},
-    "bench": {"batch_size", "warmup_iters", "timed_iters", "environment"},
-    "out": {"dir"},
-}
+# [model] per-stage list keys besides `channels` (whose length sets the
+# stage count), each with the StageConfig field it sets
+_STAGE_KEYS = {"depths": "depth", "windows": "window_size",
+               "head_widths": "head_width", "embed_kernels": "embed_kernel",
+               "embed_strides": "embed_stride", "embed_pads": "embed_pad"}
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -79,8 +80,10 @@ class _Section:
     def __init__(self, parser, name):
         self.parser = parser
         self.name = name
+        self.served = set()
 
     def get(self, key, conv, default):
+        self.served.add(key)
         raw = self.parser.get(self.name, key, fallback=None)
         if not raw:
             return default
@@ -92,30 +95,29 @@ class _Section:
         except ValueError as exc:
             raise ValueError(f"[{self.name}] {key}: {exc}") from None
 
+    def get_fields(self, defaults, skip=()):
+        """One key per field of the dataclass instance `defaults`, read with
+        the field's type and defaulting to the field's value there."""
+        convs = {name: _parse_bool if t is bool else t
+                 for name, t in typing.get_type_hints(type(defaults)).items()}
+        return {f.name: self.get(f.name, convs[f.name], getattr(defaults, f.name))
+                for f in fields(defaults) if f.name not in skip}
+
 
 def _build_model_config(sec: _Section) -> md.ModelConfig:
-    channels = sec.get("channels", lambda r: _parse_list(r, int), [96, 192, 384, 768])
+    default = md.default_config()
+    ints = lambda raw: _parse_list(raw, int)
+    channels = sec.get("channels", ints, [s.channels for s in default.stages])
     n = len(channels)
-    depths = _broadcast(sec.get("depths", lambda r: _parse_list(r, int), [1]), n, "depths")
-    windows = _broadcast(sec.get("windows", lambda r: _parse_list(r, int), [7]), n, "windows")
-    head_widths = _broadcast(sec.get("head_widths", lambda r: _parse_list(r, int), [32]), n, "head_widths")
-    # first stage downsamples 4x with a 7x7 patch kernel, later stages 2x
-    kernels = _broadcast(sec.get("embed_kernels", lambda r: _parse_list(r, int),
-                                 [7] + [2] * (n - 1)), n, "embed_kernels")
-    strides = _broadcast(sec.get("embed_strides", lambda r: _parse_list(r, int),
-                                 [4] + [2] * (n - 1)), n, "embed_strides")
-    pads = _broadcast(sec.get("embed_pads", lambda r: _parse_list(r, int),
-                              [3] + [0] * (n - 1)), n, "embed_pads")
-    stages = [md.StageConfig(kernels[i], strides[i], pads[i], channels[i],
-                             depths[i], windows[i], head_widths[i])
+    # stage 0 defaults to the first default stage, every later stage to the second
+    first, later = default.stages[:2]
+    per_stage = {"channels": channels}
+    for key, name in _STAGE_KEYS.items():
+        values = sec.get(key, ints, [getattr(first, name)] + [getattr(later, name)] * (n - 1))
+        per_stage[name] = _broadcast(values, n, key)
+    stages = [md.StageConfig(**{name: v[i] for name, v in per_stage.items()})
               for i in range(n)]
-    return md.ModelConfig(
-        input_size=sec.get("input_size", int, 300),
-        num_classes=sec.get("num_classes", int, 10),
-        stages=stages,
-        input_channels=sec.get("input_channels", int, 3),
-        ffn_expansion=sec.get("ffn_expansion", float, 4.0),
-    )
+    return md.ModelConfig(stages=stages, **sec.get_fields(default, skip={"stages"}))
 
 
 def load_run_config(path, seed=None, threshold=None) -> RunConfig:
@@ -126,76 +128,53 @@ def load_run_config(path, seed=None, threshold=None) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     with open(cfg_path, encoding="utf-8") as fh:
         parser.read_file(fh)
+    sections = {name: _Section(parser, name) for name in ("model", "data", "train", "bench", "out")}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
-                raise ValueError(f"unknown key '{key}' in [{section}]")
 
     def resolve(p):
         return None if p is None else str((cfg_path.parent / p))
 
-    model_cfg = _build_model_config(_Section(parser, "model"))
-    model_cfg.validate()
-
-    tr = _Section(parser, "train")
-    train_cfg = TrainConfig(
-        base_lr=tr.get("base_lr", float, 1e-3),
-        warmup_epochs=tr.get("warmup_epochs", int, 5),
-        total_epochs=tr.get("total_epochs", int, 30),
-        batch_size=tr.get("batch_size", int, 8),
-        weight_decay=tr.get("weight_decay", float, 0.05),
-        beta1=tr.get("beta1", float, 0.9),
-        beta2=tr.get("beta2", float, 0.999),
-        eps=tr.get("eps", float, 1e-8),
-        mixup_alpha=tr.get("mixup_alpha", float, 0.2),
-        seed=tr.get("seed", int, 0),
-        cosine_decay=tr.get("cosine_decay", _parse_bool, False),
-    )
+    tr, da, be = sections["train"], sections["data"], sections["bench"]
+    train_cfg = TrainConfig(**tr.get_fields(TrainConfig()))
     if seed is not None:
         train_cfg.seed = int(seed)
-    train_cfg.validate()
     thr = tr.get("threshold", float, 0.5)
-    if threshold is not None:
-        thr = float(threshold)
-    if not 0.0 <= thr < 1.0:
-        raise ValueError(f"[train] threshold must be in [0, 1), got {thr}")
-
-    da = _Section(parser, "data")
-    fraction = da.get("train_fraction", float, 0.8)
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"[data] train_fraction must be in (0, 1), got {fraction}")
-    factor = da.get("upweight_factor", float, 4.0)
-    if factor <= 0:
-        raise ValueError(f"[data] upweight_factor must be positive, got {factor}")
-    tags = da.get("holdout_tags", lambda r: _parse_list(r, str), [])
-
-    be = _Section(parser, "bench")
-    bench_batch = be.get("batch_size", int, 1)
-    bench_warmup = be.get("warmup_iters", int, 20)
-    bench_timed = be.get("timed_iters", int, 100)
-    if bench_batch < 1:
-        raise ValueError(f"[bench] batch_size must be at least 1, got {bench_batch}")
-    if bench_warmup < 0:
-        raise ValueError(f"[bench] warmup_iters must not be negative, got {bench_warmup}")
-    if bench_timed < 1:
-        raise ValueError(f"[bench] timed_iters must be at least 1, got {bench_timed}")
-
-    return RunConfig(
-        model=model_cfg,
+    rc = RunConfig(
+        model=_build_model_config(sections["model"]),
         train=train_cfg,
-        threshold=thr,
+        threshold=thr if threshold is None else float(threshold),
         manifest=resolve(da.get("manifest", str, None)),
-        train_fraction=fraction,
+        train_fraction=da.get("train_fraction", float, 0.8),
         split_seed=da.get("split_seed", int, 0),
-        holdout_tags=frozenset(tags),
+        holdout_tags=frozenset(da.get("holdout_tags", lambda r: _parse_list(r, str), [])),
         upweight_tag=da.get("upweight_tag", str, None),
-        upweight_factor=factor,
+        upweight_factor=da.get("upweight_factor", float, 4.0),
         policy_path=resolve(da.get("policy", str, None)),
-        bench_batch_size=bench_batch,
-        bench_warmup_iters=bench_warmup,
-        bench_timed_iters=bench_timed,
+        bench_batch_size=be.get("batch_size", int, 1),
+        bench_warmup_iters=be.get("warmup_iters", int, 20),
+        bench_timed_iters=be.get("timed_iters", int, 100),
         bench_environment=be.get("environment", str, None),
-        out_dir=resolve(_Section(parser, "out").get("dir", str, "runs")),
+        out_dir=resolve(sections["out"].get("dir", str, "runs")),
     )
+    for section in parser.sections():
+        for key in parser[section]:
+            if key not in sections[section].served:
+                raise ValueError(f"unknown key '{key}' in [{section}]")
+
+    rc.model.validate()
+    rc.train.validate()
+    if not 0.0 <= rc.threshold < 1.0:
+        raise ValueError(f"[train] threshold must be in [0, 1), got {rc.threshold}")
+    if not 0.0 < rc.train_fraction < 1.0:
+        raise ValueError(f"[data] train_fraction must be in (0, 1), got {rc.train_fraction}")
+    if rc.upweight_factor <= 0:
+        raise ValueError(f"[data] upweight_factor must be positive, got {rc.upweight_factor}")
+    if rc.bench_batch_size < 1:
+        raise ValueError(f"[bench] batch_size must be at least 1, got {rc.bench_batch_size}")
+    if rc.bench_warmup_iters < 0:
+        raise ValueError(f"[bench] warmup_iters must not be negative, got {rc.bench_warmup_iters}")
+    if rc.bench_timed_iters < 1:
+        raise ValueError(f"[bench] timed_iters must be at least 1, got {rc.bench_timed_iters}")
+    return rc

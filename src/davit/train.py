@@ -9,7 +9,7 @@ at the scheduled learning rate. All randomness derives from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,15 +64,7 @@ class EvalReport:
     total: int
 
     def to_dict(self):
-        return {
-            "accuracy": self.accuracy,
-            "per_class_accuracy": list(self.per_class_accuracy),
-            "rejected_count": self.rejected_count,
-            "confusion": self.confusion.tolist(),
-            "threshold": self.threshold,
-            "correct": self.correct,
-            "total": self.total,
-        }
+        return dict(asdict(self), confusion=self.confusion.tolist())
 
 
 def soft_cross_entropy(logits, targets):

@@ -116,22 +116,27 @@ def wide_config(channels):
                           stages=[md.StageConfig(7, 4, 3, channels, 1, 4, 4)])
 
 
-def median_fps(cfg, runs=5):
-    model = md.build_model(cfg, seed=0)
-    shape = (8, 3, cfg.input_size, cfg.input_size)
-    vals = [bench.measure_fps(model, shape, warmup_iters=2, timed_iters=6).fps
-            for _ in range(runs)]
-    return statistics.median(vals)
+def median_fps(*cfgs, runs=5):
+    """Median fps of each config. The configs take turns, so the cold first
+    measurement of a process costs one run of one config, not a whole median."""
+    models = [md.build_model(cfg, seed=0) for cfg in cfgs]
+    vals = [[] for _ in cfgs]
+    for _ in range(runs):
+        for cfg, model, v in zip(cfgs, models, vals):
+            shape = (8, 3, cfg.input_size, cfg.input_size)
+            v.append(bench.measure_fps(model, shape, warmup_iters=2, timed_iters=6).fps)
+    return [statistics.median(v) for v in vals]
 
 
 def test_wider_model_is_slower():
     # 2x channels means roughly 4x the matmul work per block
-    assert median_fps(wide_config(16)) > median_fps(wide_config(32))
+    narrow, wide = median_fps(wide_config(16), wide_config(32))
+    assert narrow > wide
 
 
 def test_repeat_measurements_stable():
-    a = median_fps(wide_config(16))
-    b = median_fps(wide_config(16))
+    (a,) = median_fps(wide_config(16))
+    (b,) = median_fps(wide_config(16))
     assert abs(a - b) / max(a, b) < 0.25
 
 

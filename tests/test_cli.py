@@ -11,6 +11,7 @@ import pytest
 from davit import bench, checkpoint as ck, cli, model as md, synth
 from davit.config import load_run_config
 from davit.dataset import Dataset, Sample
+from davit.train import TrainConfig
 from davit import autodiff as ad
 
 BASE_CONFIG = """\
@@ -111,6 +112,16 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [
+    ("model", "window"), ("data", "manifests"), ("train", "threshhold"),
+    ("bench", "timed"), ("out", "dirr")])
+def test_misspelled_key_rejected(tmp_path, section, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{section}]\n{key} = 1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^unknown key '{key}' in \[{section}\]$"):
+        load_run_config(cfg)
+
+
 def test_resume_reproduces_recorded_eval(workspace, capsys):
     root = workspace["root"]
     cfg = root / "finetune.cfg"
@@ -169,7 +180,7 @@ def test_corrupt_and_mismatch_reported_distinctly(workspace, tmp_path, capsys):
     assert cli.main(["eval", "--config", str(workspace["cfg"]),
                      "--init-from", str(broken)]) != 0
     corrupt_msg = capsys.readouterr().err
-    assert "corrupt checkpoint" in corrupt_msg
+    assert corrupt_msg.count("corrupt checkpoint") == 1, corrupt_msg
 
     other = md.build_model(
         md.ModelConfig(input_size=32, num_classes=10,
@@ -239,6 +250,7 @@ def test_config_defaults(tmp_path):
     cfg.write_text("", encoding="utf-8")
     rc = load_run_config(cfg)
     assert rc.model == md.default_config()
+    assert rc.train == TrainConfig()
     assert rc.threshold == 0.5
     assert rc.train_fraction == 0.8 and rc.split_seed == 0
     assert rc.manifest is None and rc.policy_path is None
