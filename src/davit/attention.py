@@ -80,7 +80,8 @@ def spatial_window_attention(x, p, window_size, return_weights=False):
 
     x is B x H x W x C. The q/k/v and output maps run on the real tokens
     only; the q/k/v stack is zero-padded on the bottom/right to whole
-    windows, and padded keys are excluded from the softmax, so they draw
+    windows (adding 0 rows and 0 columns when the map already is whole
+    windows), and padded keys are excluded from the softmax, so they draw
     zero attention weight. Weights come back as (B*nW*nh, w^2, w^2),
     heads innermost.
     """
@@ -97,22 +98,18 @@ def spatial_window_attention(x, p, window_size, return_weights=False):
     nwh, nww = ph // w, pw // w
 
     qkv = ad.linear(x, p.qkv_weight, p.qkv_bias)  # (B, H, W, 3C)
-    mask = None
-    if (ph, pw) != (h, wd):
-        qkv = ad.pad(qkv, ((0, 0), (0, ph - h), (0, pw - wd), (0, 0)))
-        real = np.zeros((ph, pw), dtype=bool)
-        real[:h, :wd] = True
-        keys = real.reshape(nwh, w, nww, w).transpose(0, 2, 1, 3).reshape(nwh * nww, w * w)
-        mask = np.repeat(np.tile(keys, (b, 1)), nh, axis=0)[:, None, :]  # (B*nW*nh, 1, w^2)
+    qkv = ad.pad(qkv, ((0, 0), (0, ph - h), (0, pw - wd), (0, 0)))
+    real = np.zeros((ph, pw), dtype=bool)
+    real[:h, :wd] = True
+    keys = real.reshape(nwh, w, nww, w).transpose(0, 2, 1, 3).reshape(nwh * nww, w * w)
+    mask = np.repeat(np.tile(keys, (b, 1)), nh, axis=0)[:, None, :]  # (B*nW*nh, 1, w^2)
     qkv = ad.transpose(ad.reshape(qkv, (b, nwh, w, nww, w, 3, nh, ch)), (5, 0, 1, 3, 6, 2, 4, 7))
     # rebind qkv so the padded stack is freed once its windowed copy exists, not held through _attend
     qkv = ad.reshape(qkv, (3, b * nwh * nww * nh, w * w, ch))  # (window, head) batch order
     out, attn = _attend(qkv, 1.0 / np.sqrt(ch), mask)
 
     out = ad.transpose(ad.reshape(out, (b, nwh, nww, nh, w, w, ch)), (0, 1, 4, 2, 5, 3, 6))
-    out = ad.reshape(out, (b, ph, pw, c))
-    if (ph, pw) != (h, wd):
-        out = out[:, :h, :wd, :]
+    out = ad.reshape(out, (b, ph, pw, c))[:, :h, :wd, :]
     out = ad.linear(out, p.proj_weight, p.proj_bias)
     if return_weights:
         return out, attn.data
@@ -127,8 +124,9 @@ def _diagonal_blocks(w, ng, k):
     columns of group g.
     """
     cg = w.shape[0] // ng
-    d = np.arange(ng)
-    return ad.reshape(ad.reshape(w, (ng, cg, k, ng, cg))[d, :, :, d, :], (ng, cg, k * cg))
+    # the Ng x Ng grid of (Cg, k*Cg) blocks, row group major: the diagonal is every (Ng + 1)-th block
+    grid = ad.transpose(ad.reshape(w, (ng, cg, k, ng, cg)), (0, 3, 1, 2, 4))
+    return ad.reshape(grid, (ng * ng, cg, k * cg))[:: ng + 1]
 
 
 def channel_group_attention(x, p, return_weights=False):

@@ -8,8 +8,9 @@ closure, its output and that output's gradient are released as soon as
 the node has run. A tape can be replayed exactly once; replaying it
 again without re-running the forward pass raises GraphError.
 
-Ops are module functions (add, matmul, linear, reshape, tensor_sum, ...); the
-only operator Tensor defines is indexing, which is the slice op.
+Ops are module functions (add, matmul, linear, reshape, tensor_sum, ...) on
+Tensors; the only operator Tensor defines is indexing, which is the slice op
+and takes basic indices only: ints, slices, None and Ellipsis.
 
 Each forward op's output is scanned for NaN and Inf, which raise
 NonFiniteError naming the op. The movement ops (reshape, transpose,
@@ -152,40 +153,21 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
     def __getitem__(self, idx):
+        # basic indices only: they never pick an element twice, so backward assigns
+        for part in idx if isinstance(idx, tuple) else (idx,):
+            if isinstance(part, bool) or not isinstance(part, (int, np.integer, slice, type(None), type(...))):
+                raise IndexError(f"tensor indices must be ints, slices, None or Ellipsis, got {part!r}")
         raw = self.data[idx]
-        if not isinstance(raw, np.ndarray):
-            raw = np.asarray(raw)
         raw_shape = raw.shape
         out_data = raw if raw.ndim else raw.reshape(1)
         src = self
 
         def run(g):
             buf = np.zeros_like(src.data)
-            if _selects_twice(buf.shape, idx, g.size):
-                np.add.at(buf, idx, g.reshape(raw_shape))
-            else:
-                buf[idx] = g.reshape(raw_shape)
+            buf[idx] = g.reshape(raw_shape)
             _accum(src, buf)
 
         return _make("slice", out_data, (self,), run)
-
-
-def _selects_twice(shape, idx, n):
-    # True when an integer-array index picks one of its n elements twice. Only
-    # then is np.add.at needed; assignment is faster and keeps -0.0 as -0.0.
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    if not any(np.ndim(p) and np.asarray(p).dtype.kind in "iu" for p in parts):
-        return False
-    hit = np.zeros(shape, dtype=bool)
-    hit[idx] = True
-    return int(hit.sum()) < n
-
-
-def _as_tensor(x, dtype=None):
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
-    return Tensor(arr)
 
 
 def _accum(t, g):
@@ -306,9 +288,6 @@ def trunc_normal(shape, mean=0.0, std=1.0, *, seed=None, rng=None, requires_grad
 
 
 def add(a, b):
-    a = _as_tensor(a)
-    b = _as_tensor(b, a.dtype)
-
     def run(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
@@ -317,9 +296,6 @@ def add(a, b):
 
 
 def mul(a, b):
-    a = _as_tensor(a)
-    b = _as_tensor(b, a.dtype)
-
     def run(g):
         _accum(a, _unbroadcast(g * b.data, a.shape))
         _accum(b, _unbroadcast(g * a.data, b.shape))

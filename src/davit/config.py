@@ -10,18 +10,21 @@ file resolve against the config file's own directory.
 The dataclasses own their sections' keys and defaults.  Every `TrainConfig`
 field is a [train] key with that field's type and default.  [model] reads
 the scalar `ModelConfig` fields and one list per `StageConfig` field, all
-defaulting to `model.default_config()`.  Only [train] threshold and the
+defaulting to `model.default_config()`.  The [bench] iteration counts default
+to `bench.measure_fps`'s parameter defaults.  Only [train] threshold and the
 [data], [bench] and [out] keys are declared here.  A key is known when the
 loader reads it; any other key is rejected before values are range-checked.
 """
 
 import configparser
+import inspect
 import math
 import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import model as md
+from .bench import measure_fps
 from .train import TrainConfig
 
 # [model] per-stage list keys besides `channels` (whose length sets the
@@ -137,6 +140,7 @@ def load_run_config(path, seed=None, threshold=None) -> RunConfig:
         return None if p is None else str((cfg_path.parent / p))
 
     tr, da, be = sections["train"], sections["data"], sections["bench"]
+    fps_defaults = inspect.signature(measure_fps).parameters
     train_cfg = TrainConfig(**tr.get_fields(TrainConfig()))
     if seed is not None:
         train_cfg.seed = int(seed)
@@ -153,8 +157,8 @@ def load_run_config(path, seed=None, threshold=None) -> RunConfig:
         upweight_factor=da.get("upweight_factor", float, 4.0),
         policy_path=resolve(da.get("policy", str, None)),
         bench_batch_size=be.get("batch_size", int, 1),
-        bench_warmup_iters=be.get("warmup_iters", int, 20),
-        bench_timed_iters=be.get("timed_iters", int, 100),
+        bench_warmup_iters=be.get("warmup_iters", int, fps_defaults["warmup_iters"].default),
+        bench_timed_iters=be.get("timed_iters", int, fps_defaults["timed_iters"].default),
         bench_environment=be.get("environment", str, None),
         out_dir=resolve(sections["out"].get("dir", str, "runs")),
     )

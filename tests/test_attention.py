@@ -227,6 +227,18 @@ def test_channel_off_diagonal_blocks_are_inert():
     assert (noisy.proj_weight.grad[same] != 0).any()
 
 
+@pytest.mark.parametrize("ng, k", [(1, 1), (3, 3), (24, 1)])
+def test_diagonal_blocks_equal_advanced_index_oracle(ng, k):
+    rng = np.random.default_rng(36)
+    cg = 4
+    w = rng.normal(size=(ng * cg, k * ng * cg)).astype(np.float32)
+    d = np.arange(ng)
+    want = w.reshape(ng, cg, k, ng, cg)[d, :, :, d, :].reshape(ng, cg, k * cg)
+    got = at._diagonal_blocks(ad.Tensor(w.copy()), ng, k).data
+    assert got.shape == (ng, cg, k * cg)
+    assert (got == want).all()
+
+
 @pytest.mark.parametrize("shape", [(1, 4, 4, 4), (2, 3, 4, 4)], ids=["b1", "b2_3x4"])
 def test_channel_attention_grad(shape):
     rng = np.random.default_rng(32)
