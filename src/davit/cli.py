@@ -142,8 +142,11 @@ def cmd_bench(args, rc) -> int:
 def cmd_inspect(args, rc) -> int:
     sizes = md.stage_output_sizes(rc.model)
     print(f"input: {rc.model.input_size}")
-    for i, (size, stage) in enumerate(zip(sizes, rc.model.stages), start=1):
+    act = md.activation_bytes(rc.model)
+    for i, (size, stage, nbytes) in enumerate(zip(sizes, rc.model.stages, act), start=1):
         print(f"stage{i}: size={size} channels={stage.channels}")
+        print(f"stage{i} activation: {nbytes} bytes per image")
+    print(f"images_per_chunk: {md.images_per_chunk(rc.model)}")
     print(f"logits: {rc.model.num_classes}")
     print(f"params: {md.count_params_formula(rc.model)}")
     return 0

@@ -27,6 +27,10 @@ import numpy as np
 from davit import autodiff as ad
 from davit import attention as at
 
+# glibc's DEFAULT_MMAP_THRESHOLD_MAX on 64-bit: malloc serves a larger request
+# with a fresh mapping, whose pages the kernel faults in and zeroes on first touch
+MMAP_THRESHOLD_MAX = 32 << 20
+
 
 @dataclass
 class StageConfig:
@@ -109,6 +113,18 @@ def stage_output_sizes(cfg: ModelConfig):
         size, _ = _embed_geometry(size, s)
         sizes.append(size)
     return sizes
+
+
+def activation_bytes(cfg: ModelConfig, itemsize=np.dtype(ad.DEFAULT_DTYPE).itemsize):
+    """Per stage, the bytes of one image's widest activation, the FFN hidden map."""
+    return [size * size * cfg.ffn_hidden(s.channels) * itemsize
+            for size, s in zip(stage_output_sizes(cfg), cfg.stages)]
+
+
+def images_per_chunk(cfg: ModelConfig, itemsize=np.dtype(ad.DEFAULT_DTYPE).itemsize):
+    """Images per off-tape forward chunk: the most whose widest activation
+    stays under MMAP_THRESHOLD_MAX, so freed blocks are reused, not remapped."""
+    return max(1, MMAP_THRESHOLD_MAX // max(activation_bytes(cfg, itemsize)))
 
 
 @dataclass
@@ -256,12 +272,26 @@ def dual_attention_block(x, bp: BlockParams, s: StageConfig):
 
 
 def forward(model: Model, images) -> ad.Tensor:
-    """Class logits for a batch of images, shape B x num_classes."""
+    """Class logits for a batch of images, shape B x num_classes.
+
+    Off a tape a batch of more than images_per_chunk images runs as the
+    fewest near-equal chunks of at most that many, and their logits are
+    concatenated. Each chunk is its own forward call, so a wrapper of forward
+    sees one pass over the stages per call. On a tape the batch runs whole:
+    the tape keeps every chunk's activations until backward anyway.
+    """
     cfg = model.config
+    if not isinstance(images, ad.Tensor) or images.ndim != 4:
+        raise ValueError(f"expected a (B, C, H, W) Tensor of images, "
+                         f"got {type(images).__name__} of shape {getattr(images, 'shape', None)}")
     b, c, h, w = images.shape
     if c != cfg.input_channels or h != cfg.input_size or w != cfg.input_size:
         raise ValueError(
             f"expected input {cfg.input_channels}x{cfg.input_size}x{cfg.input_size}, got {c}x{h}x{w}")
+    per = images_per_chunk(cfg, images.dtype.itemsize)
+    if b > per and not ad._TAPE_STACK:
+        parts = np.array_split(images.data, -(-b // per))
+        return ad.Tensor(np.concatenate([forward(model, ad.Tensor(p)).data for p in parts]))
     x = images
     for sp, s in zip(model.stages, cfg.stages):
         x = patch_embed(x, sp, s)  # N x C x H x W

@@ -195,6 +195,8 @@ def evaluate(model: md.Model, val: Dataset, threshold, batch_size=16) -> EvalRep
         raise ValueError("validation set is empty")
     if not 0 <= threshold < 1:
         raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     k = val.samples[0].label.size
     confusion = np.zeros((k, k), dtype=np.int64)
     class_correct = np.zeros(k, dtype=np.int64)

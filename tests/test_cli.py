@@ -237,6 +237,9 @@ def test_inspect_default_config_fast(tmp_path, capsys):
     assert "stage2: size=38 channels=192" in out
     assert "stage3: size=19 channels=384" in out
     assert "stage4: size=10 channels=768" in out
+    assert "stage1 activation: 8640000 bytes per image" in out  # 75 * 75 * 384 float32
+    assert "stage4 activation: 1228800 bytes per image" in out
+    assert "images_per_chunk: 3" in out
     assert "logits: 10" in out
     assert "params: 20411146" in out
 

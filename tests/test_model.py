@@ -115,6 +115,78 @@ def test_forward_wrong_input_rejected():
         md.forward(m, ad.zeros((1, 3, 8, 8)))
     with pytest.raises(ValueError):
         md.forward(m, ad.zeros((1, 1, 16, 16)))
+    with pytest.raises(ValueError, match=r"\(B, C, H, W\) Tensor .* shape \(3, 16, 16\)"):
+        md.forward(m, ad.zeros((3, 16, 16)))
+    with pytest.raises(ValueError, match=r"\(B, C, H, W\) Tensor .*got ndarray"):
+        md.forward(m, np.zeros((1, 3, 16, 16), dtype=np.float32))
+
+
+# ---------------------------------------------------------------------------
+# off-tape chunks
+
+
+def _record_calls(monkeypatch, fn=None):
+    """Route md.forward through a wrapper that appends each call's batch size
+    to the list returned, then calls fn (default: the real forward). Returns
+    the list and the real forward; a chunked forward calls md.forward per chunk."""
+    sizes = []
+    real = md.forward
+    inner = fn or real
+
+    def recording(model, x):
+        sizes.append(x.shape[0])
+        return inner(model, x)
+
+    monkeypatch.setattr(md, "forward", recording)
+    return sizes, real
+
+
+def _cap_at(monkeypatch, cfg, per, itemsize=8):
+    monkeypatch.setattr(md, "MMAP_THRESHOLD_MAX", per * max(md.activation_bytes(cfg, itemsize)))
+    assert md.images_per_chunk(cfg, itemsize) == per
+
+
+def test_offtape_chunks_equal_parts_forwarded_alone(monkeypatch):
+    cfg = toy_config()
+    m = md.build_model(cfg, seed=0, dtype=np.float64)
+    x = ad.Tensor(np.random.default_rng(1).uniform(0, 1, (5, 3, 16, 16)))
+    whole = md.forward(m, x).data
+    _cap_at(monkeypatch, cfg, 2)
+    alone = np.concatenate([md.forward(m, ad.Tensor(x.data[i:j])).data
+                            for i, j in ((0, 2), (2, 4), (4, 5))])
+    sizes, _ = _record_calls(monkeypatch)
+    chunked = md.forward(m, x).data
+    assert sizes == [5, 2, 2, 1]
+    assert chunked.tobytes() == alone.tobytes()
+    assert rel_err(chunked, whole) < 1e-6
+    assert (chunked.argmax(axis=1) == whole.argmax(axis=1)).all()
+
+
+def test_default_config_b16_splits_three_three_three_three_two_two(monkeypatch):
+    cfg = md.default_config()
+    assert md.images_per_chunk(cfg) == 3  # 32 MiB over the 8.64 MB stage-0 FFN hidden map
+    sizes, real = _record_calls(monkeypatch, lambda model, x: ad.zeros((x.shape[0], cfg.num_classes)))
+    logits = real(md.Model(cfg, [], None), ad.zeros((16, 3, 300, 300)))
+    assert sizes == [3, 3, 3, 3, 2, 2] and logits.shape == (16, cfg.num_classes)
+
+
+def test_tape_forward_runs_the_whole_batch(monkeypatch):
+    cfg = toy_config()
+    x = ad.Tensor(np.random.default_rng(2).uniform(0, 1, (5, 3, 16, 16)))
+
+    def step():
+        m = md.build_model(cfg, seed=0, dtype=np.float64)
+        with ad.Tape() as tape:
+            loss = ad.tensor_sum(md.forward(m, x))
+            nodes = len(tape.nodes)
+            ad.backward(loss)
+        return nodes, {n: t.grad.tobytes() for n, t in m.named_parameters().items()}
+
+    unchunked = step()
+    _cap_at(monkeypatch, cfg, 2)
+    sizes, _ = _record_calls(monkeypatch)
+    assert step() == unchunked
+    assert sizes == [5]
 
 
 def test_count_params_formula_matches_construction():

@@ -305,6 +305,9 @@ def test_evaluate_validation():
         tr.evaluate(model, Dataset([], data.class_names), 0.5)
     with pytest.raises(ValueError):
         tr.evaluate(model, data, 1.0)
+    for batch_size in (0, -1):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            tr.evaluate(model, data, 0.5, batch_size)
 
 
 def test_train_config_validation():
