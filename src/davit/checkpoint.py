@@ -15,9 +15,13 @@ in 64-bit division, the same arithmetic evaluate uses). The counts
 values, so save_checkpoint raises ValueError naming the field when one
 lies outside [0, 2**24].
 
-Round-trips are bitwise exact for f32 tensors. A malformed container
-(bad magic, bad version, truncation) raises CorruptCheckpointError; a
-well-formed file whose tensors do not fit the receiving model raises
+Records are read in file order, each tensor once into a buffer the
+returned array owns, so a load holds about the file size. Round-trips
+are bitwise exact for f32 tensors. A malformed container (bad magic,
+bad version, truncation, trailing bytes, a repeated tensor name) or a
+metadata entry that is not the whole numbers save_checkpoint writes
+raises CorruptCheckpointError naming the file; a well-formed file whose
+parameters or optimizer moments do not fit the receiving model raises
 CheckpointMismatchError naming the first offending tensor.
 """
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -88,54 +93,53 @@ def write_tensors(path, tensors: dict):
             f.write(name_b)
             f.write(struct.pack("<I", arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+            f.write(np.ascontiguousarray(arr))
 
 
 def read_tensors(path) -> dict:
     """Parse a checkpoint container back into named f32 arrays the caller owns."""
-    with open(path, "rb") as f:
-        data = f.read()
-
     def bad(msg):
         return CorruptCheckpointError(f"corrupt checkpoint {path}: {msg}")
 
-    if data[:4] != MAGIC:
-        raise bad(f"bad magic {data[:4]!r}")
-    if len(data) < 12:
-        raise bad("truncated header")
-    version, count = struct.unpack_from("<II", data, 4)
-    if version != FORMAT_VERSION:
-        raise bad(f"unsupported format version {version}")
-    tensors = {}
-    off = 12
-    for _ in range(count):
-        if off + 4 > len(data):
-            raise bad("truncated tensor name length")
-        (name_len,) = struct.unpack_from("<I", data, off)
-        off += 4
-        if off + name_len > len(data):
-            raise bad("truncated tensor name")
-        try:
-            name = data[off : off + name_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise bad(f"tensor name at byte {off} is not UTF-8") from None
-        off += name_len
-        if off + 4 > len(data):
-            raise bad(f"truncated rank for {name!r}")
-        (rank,) = struct.unpack_from("<I", data, off)
-        off += 4
-        if off + 4 * rank > len(data):
-            raise bad(f"truncated extents for {name!r}")
-        shape = struct.unpack_from(f"<{rank}I", data, off)
-        off += 4 * rank
-        n = math.prod(shape)
-        if off + 4 * n > len(data):
-            raise bad(f"truncated data for {name!r}")
-        arr = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(shape)
-        off += 4 * n
-        tensors[name] = arr.copy()
-    if off != len(data):
-        raise bad(f"{len(data) - off} trailing bytes")
+    with open(path, "rb") as f:
+        left = os.fstat(f.fileno()).st_size
+
+        def take(n, what):
+            # checked against the file size before anything is allocated
+            nonlocal left
+            if n > left:
+                raise bad(f"truncated {what}")
+            buf = bytearray(n)
+            if f.readinto(buf) != n:
+                raise bad(f"truncated {what}")
+            left -= n
+            return buf
+
+        def u32(k, what):
+            return struct.unpack(f"<{k}I", take(4 * k, what))
+
+        magic = take(4, "magic")
+        if magic != MAGIC:
+            raise bad(f"bad magic {bytes(magic)!r}")
+        version, count = u32(2, "header")
+        if version != FORMAT_VERSION:
+            raise bad(f"unsupported format version {version}")
+        tensors = {}
+        for _ in range(count):
+            (name_len,) = u32(1, "tensor name length")
+            raw = take(name_len, "tensor name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise bad(f"tensor name at byte {f.tell() - name_len} is not UTF-8") from None
+            if name in tensors:
+                raise bad(f"duplicate tensor {name!r}")
+            (rank,) = u32(1, f"rank for {name!r}")
+            shape = u32(rank, f"extents for {name!r}")
+            data = take(4 * math.prod(shape), f"data for {name!r}")
+            tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape)
+    if left:
+        raise bad(f"{left} trailing bytes")
     return tensors
 
 
@@ -162,54 +166,55 @@ def _count(field, value):
     return np.array([value], dtype=np.float32)
 
 
-def read_meta(path) -> CheckpointMeta:
-    tensors = read_tensors(path)
-    return _meta_from(tensors, path)
-
-
-def _meta_from(tensors, path) -> CheckpointMeta:
-    try:
-        digest = tensors[_META_HASH].astype(np.uint8).tobytes()
-        return CheckpointMeta(
-            epoch=int(tensors[_META_EPOCH][0]),
-            val_correct=int(tensors[_META_CORRECT][0]),
-            val_total=int(tensors[_META_TOTAL][0]),
-            config_hash=digest,
-        )
-    except KeyError as e:
-        raise CorruptCheckpointError(f"corrupt checkpoint {path}: missing metadata entry {e}") from None
-
-
 def load_checkpoint(path, model):
     """Copy parameters from the file into the model.
 
     Returns (state, meta) where state is an OptimizerState when the
     checkpoint carries one, else None. Config-hash policy is the
-    caller's concern; this function only enforces names and shapes.
+    caller's concern; this function checks the metadata entries, and
+    the names and shapes of the parameters and moments, before it
+    changes the model.
     """
     from davit.train import OptimizerState
 
     tensors = read_tensors(path)
-    meta = _meta_from(tensors, path)
+
+    def whole(key, size=1, top=_MAX_COUNT):
+        if key not in tensors:
+            raise CorruptCheckpointError(f"corrupt checkpoint {path}: missing metadata entry {key!r}")
+        vals = tensors[key]
+        # NaN fails every comparison, so it is rejected with the rest
+        if vals.shape != (size,) or not ((vals >= 0) & (vals <= top) & (vals == np.floor(vals))).all():
+            raise CorruptCheckpointError(
+                f"corrupt checkpoint {path}: metadata entry {key!r} is not {size} whole number(s) in [0, {top}]")
+        return [int(x) for x in vals]
+
+    (epoch,), (correct,), (total,) = (whole(k) for k in (_META_EPOCH, _META_CORRECT, _META_TOTAL))
+    meta = CheckpointMeta(epoch=epoch, val_correct=correct, val_total=total,
+                          config_hash=bytes(whole(_META_HASH, 16, 255)))
+    t = whole(_OPT_STEP)[0] if _OPT_STEP in tensors else None
 
     params = model.named_parameters()
-    stored = {k: v for k, v in tensors.items() if not k.startswith(("__meta__.", "__opt__."))}
-    for name, t in params.items():
+    stored = {k: a for k, a in tensors.items() if not k.startswith(("__meta__.", "__opt__."))}
+    m = {k[len(_OPT_M):]: a for k, a in tensors.items() if k.startswith(_OPT_M)}
+    v = {k[len(_OPT_V):]: a for k, a in tensors.items() if k.startswith(_OPT_V)}
+    for name in params:
         if name not in stored:
             raise CheckpointMismatchError(f"checkpoint {path} is missing tensor {name!r}")
-        if stored[name].shape != t.shape:
-            raise CheckpointMismatchError(
-                f"checkpoint {path} tensor {name!r} has shape {stored[name].shape}, "
-                f"model expects {t.shape}")
-    for name in stored:
-        if name not in params:
-            raise CheckpointMismatchError(f"checkpoint {path} holds unexpected tensor {name!r}")
-    for name, t in params.items():
-        t.data = stored[name].astype(t.data.dtype, copy=False)
+    for prefix, group in (("", stored), (_OPT_M, m), (_OPT_V, v)):
+        for name, a in group.items():
+            if name not in params:
+                raise CheckpointMismatchError(f"checkpoint {path} holds unexpected tensor {prefix + name!r}")
+            if a.shape != params[name].shape:
+                raise CheckpointMismatchError(
+                    f"checkpoint {path} tensor {prefix + name!r} has shape {a.shape}, "
+                    f"model expects {params[name].shape}")
+    if m.keys() != v.keys():  # adamw_step indexes both
+        name = min(m.keys() ^ v.keys())
+        raise CheckpointMismatchError(
+            f"checkpoint {path} holds one of {_OPT_M + name!r} and {_OPT_V + name!r} without the other")
 
-    state = None
-    if _OPT_STEP in tensors:
-        m = {k[len(_OPT_M):]: tensors[k] for k in tensors if k.startswith(_OPT_M)}
-        v = {k[len(_OPT_V):]: tensors[k] for k in tensors if k.startswith(_OPT_V)}
-        state = OptimizerState(m=m, v=v, t=int(tensors[_OPT_STEP][0]))
+    for name, p in params.items():
+        p.data = stored[name].astype(p.data.dtype, copy=False)
+    state = None if t is None else OptimizerState(m=m, v=v, t=t)
     return state, meta

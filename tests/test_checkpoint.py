@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ def test_corrupt_files_rejected(tmp_path):
     path.write_bytes(raw + b"\x00")
     with pytest.raises(ck.CorruptCheckpointError, match="trailing"):
         ck.read_tensors(path)
+    # a two-tensor container cut at every byte, and with the name length,
+    # rank and first extent of its first record set to 0xFFFFFFFF
+    ck.write_tensors(good, {"w": np.ones((2, 3), dtype=np.float32),
+                            "b": np.ones((3,), dtype=np.float32)})
+    raw = good.read_bytes()
+    damaged = [raw[:cut] for cut in range(len(raw))]
+    for field in (12, 17, 21):  # after the 12-byte header and the 1-byte name "w"
+        damaged.append(raw[:field] + b"\xff" * 4 + raw[field + 4:])
+    for case in damaged:
+        path.write_bytes(case)
+        with pytest.raises(ck.CorruptCheckpointError, match=re.escape(str(path))):
+            ck.read_tensors(path)
 
 
 def test_non_utf8_tensor_name_rejected(tmp_path):
@@ -94,6 +107,31 @@ def test_extent_product_overflow_rejected(tmp_path, extents):
                      + struct.pack(f"<I{len(extents)}I", len(extents), *extents) + bytes(16))
     with pytest.raises(ck.CorruptCheckpointError, match=f"{re.escape(str(path))}.*truncated data"):
         ck.read_tensors(path)
+
+
+def test_duplicate_tensor_name_rejected(tmp_path):
+    def record(value):
+        return struct.pack("<I", 1) + b"w" + struct.pack("<IIf", 1, 1, value)
+
+    path = tmp_path / "dup.ckpt"
+    path.write_bytes(b"DVTF" + struct.pack("<II", 1, 2) + record(1.0) + record(2.0))
+    with pytest.raises(ck.CorruptCheckpointError, match=f"{re.escape(str(path))}.*duplicate tensor 'w'"):
+        ck.read_tensors(path)
+
+
+def test_read_holds_the_file_once(tmp_path):
+    path = tmp_path / "big.ckpt"
+    ck.write_tensors(path, {"w": np.ones((1024, 1024), dtype=np.float32),
+                            "b": np.ones((1024,), dtype=np.float32)})
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = ck.read_tensors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * size, peak / size
+    assert all(a.flags.writeable for a in back.values())
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +195,7 @@ def test_metadata_round_trip_exact_accuracy(tmp_path):
                              config_hash=ck.model_config_hash(src.config))
     path = tmp_path / "m.ckpt"
     ck.save_checkpoint(src, path, meta=meta)
-    back = ck.read_meta(path)
+    back = ck.load_checkpoint(path, src)[1]
     assert back.epoch == 17
     assert back.val_correct == 757 and back.val_total == 760
     assert back.val_accuracy == 757 / 760  # counts survive, ratio is exact
@@ -185,6 +223,58 @@ def test_count_limit_round_trips(tmp_path):
     ck.save_checkpoint(src, path, state=OptimizerState(t=2**24), meta=meta)
     state, back = ck.load_checkpoint(path, toy_model(seed=16))
     assert (back.epoch, back.val_correct, back.val_total, state.t) == (2**24, 2**24 - 1, 2**24, 2**24)
+
+
+def rewrite(path, entry, value):
+    """Replace one entry of a saved container; None deletes it."""
+    tensors = ck.read_tensors(path)
+    if value is None:
+        del tensors[entry]
+    else:
+        tensors[entry] = np.array(value, dtype=np.float32)
+    ck.write_tensors(path, tensors)
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("__meta__.epoch", []),
+    ("__meta__.epoch", [np.nan]),
+    ("__meta__.epoch", [-3.5]),
+    ("__meta__.val_correct", [2.5]),
+    ("__meta__.val_total", [np.inf]),
+    ("__meta__.val_total", [2**24 + 2]),
+    ("__meta__.config_hash", [300.0] * 3),
+    ("__meta__.config_hash", [256.0] * 16),
+    ("__opt__.t", [1.0, 2.0]),
+    ("__opt__.t", [-1.0]),
+])
+def test_bad_metadata_entry_rejected(tmp_path, entry, value):
+    path = tmp_path / "m.ckpt"
+    ck.save_checkpoint(toy_model(seed=17), path, state=OptimizerState(t=3))
+    rewrite(path, entry, value)
+    with pytest.raises(ck.CorruptCheckpointError,
+                       match=f"{re.escape(str(path))}.*{re.escape(repr(entry))}"):
+        ck.load_checkpoint(path, toy_model(seed=18))
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("__opt__.m.stages.0.embed.weight", [0.0]),  # wrong shape
+    ("__opt__.v.not.a.param", [0.0]),  # names no parameter
+    ("__opt__.v.head.bias", None),  # m without v
+])
+def test_moments_must_fit_the_parameters(tmp_path, entry, value):
+    src = toy_model(seed=19)
+    state = OptimizerState(t=1)
+    for name, t in src.named_parameters().items():
+        state.m[name] = np.zeros(t.shape, dtype=np.float32)
+        state.v[name] = np.zeros(t.shape, dtype=np.float32)
+    path = tmp_path / "m.ckpt"
+    ck.save_checkpoint(src, path, state=state)
+    rewrite(path, entry, value)
+    dst = toy_model(seed=20)
+    before = {n: t.data for n, t in dst.named_parameters().items()}
+    with pytest.raises(ck.CheckpointMismatchError, match=f"{re.escape(str(path))}.*{re.escape(repr(entry))}"):
+        ck.load_checkpoint(path, dst)
+    assert all(t.data is before[n] for n, t in dst.named_parameters().items())
 
 
 def test_optimizer_state_round_trip(tmp_path):
