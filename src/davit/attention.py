@@ -69,7 +69,7 @@ def _attend(qkv, scale, mask=None):
     Returns the (T, tokens, width) output and the (T, tokens, tokens)
     attention weights.
     """
-    q, k, v = qkv[0], qkv[1], qkv[2]
+    q, k, v = ad.unstack(qkv)
     logits = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), scale)
     attn = ad.softmax(logits, axis=-1, mask=mask)
     return ad.matmul(attn, v), attn

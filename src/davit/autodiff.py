@@ -8,9 +8,9 @@ closure, its output and that output's gradient are released as soon as
 the node has run. A tape can be replayed exactly once; replaying it
 again without re-running the forward pass raises GraphError.
 
-Ops are module functions (add, matmul, linear, reshape, tensor_sum, ...) on
-Tensors; the only operator Tensor defines is indexing, which is the slice op
-and takes basic indices only: ints, slices, None and Ellipsis.
+Ops are module functions (add, matmul, linear, reshape, unstack, tensor_sum,
+...) on Tensors; the only operator Tensor defines is indexing, which is the
+slice op and takes basic indices only: ints, slices, None and Ellipsis.
 
 Each forward op's output is scanned for NaN and Inf, which raise
 NonFiniteError naming the op. The movement ops (reshape, transpose,
@@ -349,6 +349,28 @@ def pad(t, pad_width):
     return _make("pad", np.pad(t.data, pad_width), (t,), run)
 
 
+def unstack(t):
+    """(t[0], t[1], ...) as views, with one gradient buffer for t; nodes are slices.
+
+    A sink node recorded before the parts runs after all of them: each part
+    writes its gradient + 0.0 (so -0.0 reads 0.0, as in a sum of zero-padded
+    slices) into the sink's zero-filled gradient, which the sink hands to t.
+    """
+    if t.ndim < 2:
+        raise ValueError(f"unstack needs rank >= 2, got shape {t.shape}")
+    whole = _make("slice", t.data, (t,), lambda g: _accum(t, g))
+
+    def part(i):
+        def run(g):
+            if whole.grad is None:
+                whole.grad = np.zeros(whole.shape, whole.dtype)
+            np.add(g, 0.0, out=whole.grad[i])
+
+        return _make("slice", whole.data[i], (whole,), run)
+
+    return tuple(part(i) for i in range(t.shape[0]))
+
+
 def tensor_sum(t, axis=None, keepdims=False):
     in_shape = t.shape
     if axis is None:
@@ -476,69 +498,70 @@ def gelu(t):
     and h = poly(t) * exp(-x^2/2) / 2, Phi = 1/2 + copysign(1/2 - h, x).
     In float32 arithmetic Phi stays within 5e-7 of the exact value (the
     largest error a dense sweep of float32 inputs found is 3.6e-7).
-    Phi is kept for the backward only while the op is recorded.
+    The derivative Phi + x * pdf is kept for the backward only while the op
+    is recorded.
     """
     x = t.data
-    keep = _recording((t,))
-    phi, out_data = _gelu_blocks(x, _erf_phi if x.dtype == np.float64 else _as_phi, keep)
+    out_data, d = _gelu_blocks(x, _erf_phi if x.dtype == np.float64 else _as_phi, _recording((t,)))
 
     def run(g):
-        # g * (phi + x * pdf), built in one buffer in the same operation order;
-        # x * x overflows for huge |x|, where exp(-inf) = 0 is the right limit
-        with np.errstate(over="ignore"):
-            buf = np.multiply(x, -0.5)
-            buf *= x
-        np.exp(buf, out=buf)
-        buf *= _INV_SQRT2PI
-        buf *= x
-        buf += phi
-        buf *= g
-        _accum(t, buf)
+        _accum(t, np.multiply(d, g, out=d))
 
     return _make("gelu", out_data, (t,), run)
 
 
-def _gelu_blocks(x, phi_of, keep_phi):
-    """(Phi(x), x * Phi(x)), with Phi from phi_of one cache-sized block at a time.
+def _gelu_blocks(x, phi_of, keep_d):
+    """(x * Phi(x), gelu'(x) or None), one cache-sized block at a time.
 
-    Without keep_phi, Phi lives in one block buffer and None stands in for it.
+    phi_of leaves Phi in one block buffer and exp(-x^2/2) in the other. With
+    keep_d the derivative (exp(-x^2/2) / sqrt(2 pi)) * x + Phi is stored, in
+    that operation order, for a backward that is then one multiply.
     """
     xf = x.reshape(-1)
     out = np.empty_like(xf)
-    phi = np.empty_like(xf) if keep_phi else np.empty(min(_BLOCK, xf.size), dtype=xf.dtype)
-    tmp = np.empty(min(_BLOCK, xf.size), dtype=xf.dtype)
+    d = np.empty_like(xf) if keep_d else None
+    phi = np.empty(min(_BLOCK, xf.size), dtype=xf.dtype)
+    e = np.empty_like(phi)
     # x * x overflows for |x| > 1.8e19 in float32; exp(-inf) = 0 is then the right limit.
     with np.errstate(over="ignore"):
         for i in range(0, xf.size, _BLOCK):
             xb = xf[i : i + _BLOCK]
-            pb = phi[i : i + _BLOCK] if keep_phi else phi[: xb.size]
-            phi_of(xb, pb, tmp[: xb.size])
+            pb, eb = phi[: xb.size], e[: xb.size]
+            phi_of(xb, pb, eb)
             np.multiply(xb, pb, out=out[i : i + _BLOCK])
-    return (phi.reshape(x.shape) if keep_phi else None), out.reshape(x.shape)
+            if keep_d:
+                db = d[i : i + _BLOCK]
+                np.multiply(eb, _INV_SQRT2PI, out=db)
+                db *= xb
+                db += pb
+    return out.reshape(x.shape), (d.reshape(x.shape) if keep_d else None)
 
 
-def _as_phi(xb, pb, q):
-    np.abs(xb, out=pb)
-    pb *= _AS_P
-    pb += 1.0
-    np.reciprocal(pb, out=pb)
-    np.multiply(pb, _AS_HALF_A[-1], out=q)
+def _as_phi(xb, pb, eb):
+    np.abs(xb, out=eb)
+    eb *= _AS_P
+    eb += 1.0
+    np.reciprocal(eb, out=eb)
+    np.multiply(eb, _AS_HALF_A[-1], out=pb)
     for a in _AS_HALF_A[-2::-1]:
-        q += a
-        q *= pb
-    np.multiply(xb, xb, out=pb)
-    pb *= -0.5
-    np.exp(pb, out=pb)
-    q *= pb
-    np.subtract(0.5, q, out=q)
-    np.copysign(q, xb, out=q)
-    np.add(q, 0.5, out=pb)
+        pb += a
+        pb *= eb
+    np.multiply(xb, xb, out=eb)
+    eb *= -0.5
+    np.exp(eb, out=eb)
+    pb *= eb
+    np.subtract(0.5, pb, out=pb)
+    np.copysign(pb, xb, out=pb)
+    pb += 0.5
 
 
-def _erf_phi(xb, pb, q):
+def _erf_phi(xb, pb, eb):
     pb[...] = _ERF(xb * _INV_SQRT2)
     pb += 1.0
     pb *= 0.5
+    np.multiply(xb, xb, out=eb)
+    eb *= -0.5
+    np.exp(eb, out=eb)
 
 
 def layer_norm(t, gamma, beta, eps=1e-5):
@@ -581,10 +604,15 @@ def layer_norm(t, gamma, beta, eps=1e-5):
         dxhat = g * gamma.data
         _accum(gamma, (g * xhat).reshape(-1, n).sum(axis=0))
         _accum(beta, g.reshape(-1, n).sum(axis=0))
-        dx = (inv / n) * (
-            n * dxhat - dxhat.sum(axis=-1, keepdims=True) - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
-        )
-        _accum(t, dx)
+        # dx = (inv / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+        # each step in the order of that expression, in dxhat and prod
+        prod = dxhat * xhat
+        s1, s2 = dxhat.sum(axis=-1, keepdims=True), prod.sum(axis=-1, keepdims=True)
+        dxhat *= n
+        dxhat -= s1
+        dxhat -= np.multiply(xhat, s2, out=prod)
+        dxhat *= inv / n
+        _accum(t, dxhat)
 
     return _make("layer_norm", out_data, (t, gamma, beta), run)
 

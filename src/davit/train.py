@@ -97,8 +97,10 @@ def adamw_step(params: dict, state: OptimizerState, cfg: TrainConfig, lr):
     Parameters without a gradient are skipped (their moments stay put).
     Per parameter this is m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     p = p - lr*((m/bc1) / (sqrt(v/bc2) + eps) + wd*p), run operation by
-    operation in m, v and two scratch buffers, so the bits are those of
-    the expression; the second buffer becomes the new parameter array.
+    operation, so the bits are those of the expression. It runs over
+    cache-sized blocks of the flattened p, g, m and v, in m, v and two
+    block scratch buffers; the new parameter is written into a fresh array
+    that replaces p.data, and the old array is left as it was.
     """
     if lr <= 0:
         raise ValueError("lr must be > 0")
@@ -114,23 +116,32 @@ def adamw_step(params: dict, state: OptimizerState, cfg: TrainConfig, lr):
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m, v = state.m[name], state.v[name]
-        update = np.multiply(g, 1.0 - cfg.beta1)
-        m *= cfg.beta1
-        m += update
-        np.multiply(g, g, out=update)
-        update *= 1.0 - cfg.beta2
-        v *= cfg.beta2
-        v += update
-        denom = np.divide(v, bc2)
-        np.sqrt(denom, out=denom)
-        denom += cfg.eps
-        np.divide(m, bc1, out=update)
-        update /= denom
-        np.multiply(p.data, cfg.weight_decay, out=denom)
-        update += denom
-        update *= lr
-        p.data = np.subtract(p.data, update, out=denom)
+        # the moments are updated through flat views, so they must be C-contiguous
+        m = state.m[name] = np.ascontiguousarray(state.m[name])
+        v = state.v[name] = np.ascontiguousarray(state.v[name])
+        new = np.empty(p.data.shape, p.data.dtype)
+        flat = [a.reshape(-1) for a in (p.data, g, m, v, new)]
+        update, denom = (np.empty(min(ad._BLOCK, new.size), new.dtype) for _ in range(2))
+        for i in range(0, new.size, ad._BLOCK):
+            pb, gb, mb, vb, nb = (a[i : i + ad._BLOCK] for a in flat)
+            ub, db = update[: pb.size], denom[: pb.size]
+            np.multiply(gb, 1.0 - cfg.beta1, out=ub)
+            mb *= cfg.beta1
+            mb += ub
+            np.multiply(gb, gb, out=ub)
+            ub *= 1.0 - cfg.beta2
+            vb *= cfg.beta2
+            vb += ub
+            np.divide(vb, bc2, out=db)
+            np.sqrt(db, out=db)
+            db += cfg.eps
+            np.divide(mb, bc1, out=ub)
+            ub /= db
+            np.multiply(pb, cfg.weight_decay, out=db)
+            ub += db
+            ub *= lr
+            np.subtract(pb, ub, out=nb)
+        p.data = new
 
 
 def zero_grads(params: dict):

@@ -442,7 +442,7 @@ def traced_peak(fn, *args):
 
 
 def test_off_tape_forward_peaks_stay_near_output_size():
-    # Off a tape, gelu keeps no Phi and layer_norm no x-hat: the output plus
+    # Off a tape, gelu keeps no derivative and layer_norm no x-hat: the output plus
     # cache-sized block buffers is all the memory these forwards take.
     rng = np.random.default_rng(46)
     x = ad.Tensor(rng.normal(size=(4096, 96)).astype(np.float32))
@@ -505,20 +505,24 @@ def test_gelu_f32_noncontiguous_input():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_backward_equals_formula_bitwise(dtype):
     rng = np.random.default_rng(32)
-    x = ad.Tensor(rng.normal(0.0, 2.0, size=(6, 50)).astype(dtype), requires_grad=True)
-    w = rng.normal(size=(6, 50)).astype(dtype)
-    with ad.Tape():
-        loss = ad.tensor_sum(ad.mul(ad.gelu(x), ad.Tensor(w.copy())))
-        ad.backward(loss)
-    xd = x.data
-    if dtype == np.float32:
-        phi = ad._gelu_blocks(xd, ad._as_phi, True)[0]
-    else:
-        phi = 0.5 * (1.0 + ad._ERF(xd * ad._INV_SQRT2).astype(np.float64))
-    pdf = np.exp(-0.5 * xd * xd) * ad._INV_SQRT2PI
-    want = w * (phi + xd * pdf)
-    assert x.grad.dtype == dtype
-    assert x.grad.tobytes() == want.tobytes()
+    # the second shape spans more than two blocks and ends inside a third, so
+    # the derivative the forward stores crosses block edges
+    for shape in ((6, 50), (3, ad._BLOCK - 7)):
+        x = ad.Tensor(rng.normal(0.0, 2.0, size=shape).astype(dtype), requires_grad=True)
+        w = rng.normal(size=shape).astype(dtype)
+        with ad.Tape():
+            loss = ad.tensor_sum(ad.mul(ad.gelu(x), ad.Tensor(w.copy())))
+            ad.backward(loss)
+        xd = x.data
+        if dtype == np.float32:
+            phi, scratch = np.empty_like(xd), np.empty_like(xd)
+            ad._as_phi(xd, phi, scratch)
+        else:
+            phi = 0.5 * (1.0 + ad._ERF(xd * ad._INV_SQRT2).astype(np.float64))
+        pdf = np.exp(-0.5 * xd * xd) * ad._INV_SQRT2PI
+        want = w * (phi + xd * pdf)
+        assert x.grad.dtype == dtype
+        assert x.grad.tobytes() == want.tobytes()
 
 
 def test_gelu_f64_erf_within_4_ulp_of_scipy():
@@ -776,6 +780,50 @@ def test_slice_takes_numpy_ints_none_and_ellipsis():
     assert s.shape == (1, 3)
     assert s.data.tolist() == [[14.0, 18.0, 22.0]]
     assert t.grad.sum() == 3.0 and (t.grad[1, :, 2] == 1.0).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unstack_backward_equals_summed_slices_bitwise(dtype):
+    rng = np.random.default_rng(48)
+    data = rng.normal(size=(3, 4, 5, 6)).astype(dtype)
+    ws = [rng.normal(size=data.shape[1:]).astype(dtype) for _ in range(3)]
+    ws[0].reshape(-1)[::3] = -0.0  # hands part 0 some -0.0 gradients
+    grads = []
+    for split in (ad.unstack, lambda t: tuple(t[i] for i in range(len(t.data)))):
+        t = ad.Tensor(data.copy(), requires_grad=True)
+        with ad.Tape():
+            parts = split(t)
+            loss = ad.tensor_sum(ad.mul(ad.gelu(parts[0]), ad.Tensor(ws[0])))
+            for part, w in zip(parts[1:], ws[1:]):
+                loss = ad.add(loss, ad.tensor_sum(ad.mul(part, ad.Tensor(w))))
+            ad.backward(loss)
+        assert [p.data.tobytes() for p in parts] == [data[i].tobytes() for i in range(3)]
+        grads.append(t.grad)
+    assert grads[0].dtype == dtype
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+@pytest.mark.parametrize("used", [0, 1, 2])
+def test_unstack_unused_outputs_contribute_zeros(used):
+    rng = np.random.default_rng(49)
+    t = ad.Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+    w = rng.normal(size=(2, 4))
+    with ad.Tape():
+        parts = ad.unstack(t)
+        ad.backward(ad.tensor_sum(ad.mul(parts[used], ad.Tensor(w.copy()))))
+    want = np.zeros((3, 2, 4))
+    want[used] = w
+    assert t.grad.tobytes() == want.tobytes()
+
+
+def test_grad_unstack():
+    rng = np.random.default_rng(50)
+    check_grads(lambda ts: ad.tensor_sum(ad.mul(*ad.unstack(ts[0])[::2])), [rng.normal(size=(3, 2, 5))])
+
+
+def test_unstack_needs_rank_2():
+    with pytest.raises(ValueError, match="rank >= 2"):
+        ad.unstack(ad.Tensor(np.arange(3.0), requires_grad=True))
 
 
 def test_grad_sum_mean_axes():

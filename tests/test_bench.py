@@ -135,8 +135,9 @@ def test_wider_model_is_slower():
 
 
 def test_repeat_measurements_stable():
-    (a,) = median_fps(wide_config(16))
-    (b,) = median_fps(wide_config(16))
+    # two models of one config take turns, so the cold first run of the
+    # process is one sample of one median, not a whole cold median
+    a, b = median_fps(wide_config(16), wide_config(16))
     assert abs(a - b) / max(a, b) < 0.25
 
 

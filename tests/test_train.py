@@ -153,28 +153,36 @@ def test_missing_grad_skipped_and_shape_checked():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adamw_in_place_equals_expression_bitwise(dtype):
+    # the update runs in blocks: "big" spans one whole block and ends inside
+    # the second, "small" is less than one block
     cfg = tr.TrainConfig(weight_decay=0.05)
     rng = np.random.default_rng(40)
-    p = ad.Tensor(rng.normal(size=(5, 7)).astype(dtype), requires_grad=True)
-    want, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+    shapes = {"big": (3, ad._BLOCK // 2 + 5), "small": (5, 7)}
+    params = {n: ad.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for n, s in shapes.items()}
+    want = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for n, p in params.items()}
     state = tr.OptimizerState()
     for t, lr in enumerate((1e-3, 3e-3, 2e-3), start=1):
-        g = rng.normal(size=(5, 7)).astype(dtype)
-        p.grad = g.copy()
-        before = p.data
-        kept = before.copy()
-        tr.adamw_step({"w": p}, state, cfg, lr)
-        assert before.tobytes() == kept.tobytes()  # the old array is not written
-        # reference: the plain expression, one temporary per operation
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps) + cfg.weight_decay * want
-        want = want - lr * update
-        assert p.data.dtype == state.m["w"].dtype == state.v["w"].dtype == dtype
-        assert p.data.tobytes() == want.tobytes()
-        assert state.m["w"].tobytes() == m.tobytes()
-        assert state.v["w"].tobytes() == v.tobytes()
+        grads = {n: rng.normal(size=s).astype(dtype) for n, s in shapes.items()}
+        before = {}
+        for n, p in params.items():
+            p.grad = grads[n].copy()
+            before[n] = p.data, p.data.copy()
+        tr.adamw_step(params, state, cfg, lr)
+        for n, p in params.items():
+            assert before[n][0].tobytes() == before[n][1].tobytes()  # the old array is not written
+            # reference: the plain expression, one temporary per operation
+            w, m, v = want[n]
+            g = grads[n]
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+            bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps) + cfg.weight_decay * w
+            w = w - lr * update
+            want[n] = w, m, v
+            assert p.data.dtype == state.m[n].dtype == state.v[n].dtype == dtype
+            assert p.data.tobytes() == w.tobytes()
+            assert state.m[n].tobytes() == m.tobytes()
+            assert state.v[n].tobytes() == v.tobytes()
 
 
 def test_moments_accumulate_across_steps():
