@@ -116,19 +116,6 @@ def spatial_window_attention(x, p, window_size, return_weights=False):
     return out
 
 
-def _diagonal_blocks(w, ng, k):
-    """The (Ng, Cg, k*Cg) diagonal blocks of a (C, k*C) weight, one per group.
-
-    The columns of w are k parts of C channels each (q, k and v for the
-    qkv map); block g holds the rows of group g and, in every part, the
-    columns of group g.
-    """
-    cg = w.shape[0] // ng
-    # the Ng x Ng grid of (Cg, k*Cg) blocks, row group major: the diagonal is every (Ng + 1)-th block
-    grid = ad.transpose(ad.reshape(w, (ng, cg, k, ng, cg)), (0, 3, 1, 2, 4))
-    return ad.reshape(grid, (ng * ng, cg, k * cg))[:: ng + 1]
-
-
 def channel_group_attention(x, p, return_weights=False):
     """Single-head self-attention over channel tokens, grouped by group width.
 
@@ -143,13 +130,13 @@ def channel_group_attention(x, p, return_weights=False):
     n = h * wd
 
     groups = ad.transpose(ad.reshape(x, (b * n, ng, cg)), (1, 0, 2))  # (Ng, B*N, Cg)
-    qkv = ad.matmul(groups, _diagonal_blocks(p.qkv_weight, ng, 3))  # (Ng, B*N, 3Cg)
+    qkv = ad.matmul(groups, ad.diagonal_blocks(p.qkv_weight, ng))  # (Ng, B*N, 3Cg)
     qkv = ad.transpose(ad.reshape(qkv, (ng, b, n, 3, cg)), (3, 1, 0, 4, 2))
     qkv = ad.add(qkv, ad.reshape(p.qkv_bias, (3, 1, ng, cg, 1)))  # (3, B, Ng, Cg, N)
     out, attn = _attend(ad.reshape(qkv, (3, b * ng, cg, n)), 1.0 / np.sqrt(cg))
 
     out = ad.transpose(ad.reshape(out, (b, ng, cg, n)), (1, 0, 3, 2))
-    out = ad.matmul(ad.reshape(out, (ng, b * n, cg)), _diagonal_blocks(p.proj_weight, ng, 1))
+    out = ad.matmul(ad.reshape(out, (ng, b * n, cg)), ad.diagonal_blocks(p.proj_weight, ng))
     out = ad.reshape(ad.transpose(ad.reshape(out, (ng, b, h, wd, cg)), (1, 2, 3, 0, 4)), (b, h, wd, c))
     out = ad.add(out, p.proj_bias)
     if return_weights:

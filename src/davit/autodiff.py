@@ -349,6 +349,26 @@ def pad(t, pad_width):
     return _make("pad", np.pad(t.data, pad_width), (t,), run)
 
 
+def diagonal_blocks(w, ng):
+    """The (Ng, Cg, k*Cg) diagonal blocks of a (C, k*C) weight, one per group.
+
+    The columns of w are k parts of C channels each (q, k and v for the
+    qkv map); block g holds the rows of group g and, in every part, the
+    columns of group g. The blocks never overlap, so backward assigns.
+    """
+    c, kc = w.shape
+    cg, k = c // ng, kc // c
+    d = np.arange(ng)
+    out_data = w.data.reshape(ng, cg, k, ng, cg)[d, :, :, d, :].reshape(ng, cg, k * cg)
+
+    def run(g):
+        buf = np.zeros_like(w.data)
+        buf.reshape(ng, cg, k, ng, cg)[d, :, :, d, :] = g.reshape(ng, cg, k, cg)
+        _accum(w, buf)
+
+    return _make("slice", out_data, (w,), run)
+
+
 def unstack(t):
     """(t[0], t[1], ...) as views, with one gradient buffer for t; nodes are slices.
 
@@ -448,17 +468,14 @@ def linear(x, w, b):
 def softmax(t, axis=-1, mask=None):
     """Stable softmax along one axis.
 
-    mask, when given, is a boolean array (or a Tensor of 0/1 values)
-    broadcastable to t's shape; False entries are excluded and receive
-    exactly zero weight. Every slice along the axis must keep at least
-    one True entry. Unless axis is 0, the forward runs in cache-sized
-    blocks of the leading axis.
+    mask, when given, is a boolean array broadcastable to t's shape;
+    False entries are excluded and receive exactly zero weight. Every
+    slice along the axis must keep at least one True entry. Unless axis
+    is 0, the forward runs in cache-sized blocks of the leading axis.
     """
     axis = axis % t.ndim
     z = t.data
     if mask is not None:
-        if isinstance(mask, Tensor):
-            mask = mask.data
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
         if not mask.any(axis=axis).all():
             raise ValueError("softmax mask excludes an entire slice")
@@ -632,39 +649,23 @@ def _pad4(pad_spec):
     return top, bottom, left, right
 
 
-def _im2col(xp, k, stride, oh, ow):
-    n, c, _, _ = xp.shape
-    cols = np.empty((n, c, k, k, oh, ow), dtype=xp.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * k * k)
+def conv2d(x, w, b, stride=1, pad=0):
+    """2-D cross-correlation of NHWC input with an OIHW square kernel, plus bias.
 
-
-def _col2im(cols, n, c, hp, wp, k, stride, oh, ow):
-    xp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols6 = cols.reshape(n, oh, ow, c, k, k).transpose(0, 3, 4, 5, 1, 2)
-    for i in range(k):
-        for j in range(k):
-            xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols6[:, :, i, j]
-    return xp
-
-
-def conv2d(x, w, stride=1, pad=0):
-    """2-D cross-correlation of NCHW input with an OIHW square kernel.
-
-    pad is an int (symmetric) or a (top, bottom, left, right) tuple of
-    zero-padding amounts. Output extent per side is
-    floor((padded - k) / stride) + 1.
+    x is (N, H, W, C_in), w is (C_out, C_in, k, k) and b is (C_out,); the
+    result is (N, H', W', C_out). pad is an int (symmetric) or a (top,
+    bottom, left, right) tuple of zero-padding amounts. Output extent per
+    side is floor((padded - k) / stride) + 1. The input gradient is formed
+    only when x requires one.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects rank-4 input and kernel, got {x.shape} and {w.shape}")
-    n, cin, h, wd = x.shape
+    n, h, wd, cin = x.shape
     cout, cin_w, k, k2 = w.shape
     if k != k2:
         raise ValueError(f"conv2d kernel must be square, got {w.shape}")
-    if cin != cin_w:
-        raise ValueError(f"conv2d channel mismatch: input has {cin}, kernel expects {cin_w}")
+    if cin != cin_w or b.shape != (cout,):
+        raise ValueError(f"conv2d needs x (..., {cin_w}) and b ({cout},), got {x.shape} and {b.shape}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     top, bottom, left, right = _pad4(pad)
@@ -674,15 +675,24 @@ def conv2d(x, w, stride=1, pad=0):
     oh = (hp - k) // stride + 1
     ow = (wp - k) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (top, bottom), (left, right)))
-    cols = _im2col(xp, k, stride, oh, ow)
+    xp = np.pad(x.data, ((0, 0), (top, bottom), (left, right), (0, 0)))
+    # (N, H', W', C_in, k, k) windows: columns in the kernel's (C_in, k, k) order
+    cols = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    cols = cols.reshape(-1, cin * k * k)
     wmat = w.data.reshape(cout, -1)
-    out_data = (cols @ wmat.T).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
+    out_data = cols @ wmat.T
+    out_data += b.data
 
     def run(g):
-        gmat = g.transpose(0, 2, 3, 1).reshape(-1, cout)
+        gmat = g.reshape(-1, cout)
         _accum(w, (gmat.T @ cols).reshape(w.shape))
-        dxp = _col2im(gmat @ wmat, n, cin, hp, wp, k, stride, oh, ow)
-        _accum(x, dxp[:, :, top : top + h, left : left + wd])
+        _accum(b, g.sum(axis=0).reshape(-1, cout).sum(axis=0))  # batch, then pixels, as a broadcast add sums
+        if x.requires_grad:  # col2im: each window's rows of gmat @ wmat add back onto its pixels
+            dcols = (gmat @ wmat).reshape(n, oh, ow, cin, k, k)
+            dxp = np.zeros((n, hp, wp, cin), dtype=dcols.dtype)
+            for i in range(k):
+                for j in range(k):
+                    dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[..., i, j]
+            _accum(x, dxp[:, top : top + h, left : left + wd])
 
-    return _make("conv2d", out_data, (x, w), run)
+    return _make("conv2d", out_data.reshape(n, oh, ow, cout), (x, w, b), run)

@@ -99,7 +99,7 @@ def cmd_train(args, rc) -> int:
             ck.save_checkpoint(model, out / "last.ckpt", state=state, meta=meta)
             if report.accuracy > best_acc:
                 best_acc = report.accuracy
-                ck.save_checkpoint(model, out / "best.ckpt", state=state, meta=meta)
+                ck.save_checkpoint(model, out / "best.ckpt", meta=meta)
             print(f"epoch {epoch}: loss {loss:.4f} train_acc {acc:.3f} "
                   f"val_acc {report.accuracy:.3f} rejected {report.rejected_count}",
                   file=sys.stderr)

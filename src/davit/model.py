@@ -243,13 +243,12 @@ def build_model(cfg: ModelConfig, seed: int, dtype=None) -> Model:
 
 
 def patch_embed(x, sp: StageParams, s: StageConfig):
-    """Strided convolution plus bias; x is N x C_in x H x W."""
-    size = x.shape[2]
-    if x.shape[3] != size:
+    """Strided convolution plus bias; x and the result are N x H x W x C."""
+    size = x.shape[1]
+    if x.shape[2] != size:
         raise ValueError(f"expected a square input, got {x.shape}")
     _, pad4 = _embed_geometry(size, s)
-    out = ad.conv2d(x, sp.embed.weight, stride=s.embed_stride, pad=pad4)
-    return ad.add(out, ad.reshape(sp.embed.bias, (s.channels, 1, 1)))
+    return ad.conv2d(x, sp.embed.weight, sp.embed.bias, stride=s.embed_stride, pad=pad4)
 
 
 def _ffn(x, f: FFNParams):
@@ -292,14 +291,11 @@ def forward(model: Model, images) -> ad.Tensor:
     if b > per and not ad._TAPE_STACK:
         parts = np.array_split(images.data, -(-b // per))
         return ad.Tensor(np.concatenate([forward(model, ad.Tensor(p)).data for p in parts]))
-    x = images
+    x = ad.transpose(images, (0, 2, 3, 1))  # channels last from here to the head
     for sp, s in zip(model.stages, cfg.stages):
-        x = patch_embed(x, sp, s)  # N x C x H x W
-        x = ad.transpose(x, (0, 2, 3, 1))
+        x = patch_embed(x, sp, s)
         for bp in sp.blocks:
             x = dual_attention_block(x, bp, s)
-        x = ad.transpose(x, (0, 3, 1, 2))
-    x = ad.transpose(x, (0, 2, 3, 1))
     x = _norm(x, model.head.norm)
     x = ad.tensor_mean(x, axis=(1, 2))  # global average pool
     return ad.linear(x, model.head.weight, model.head.bias)

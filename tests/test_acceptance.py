@@ -123,7 +123,7 @@ def test_gradient_suite():
         mask = np.ones((4, 6), dtype=bool)
         mask[:, 4:] = False
         check_grads(lambda ts: ad.tensor_sum(ad.mul(ad.softmax(ts[0], axis=-1,
-                                                               mask=ad.Tensor(mask)),
+                                                               mask=mask),
                                                     ts[1])),
                     [arr(4, 6), arr(4, 6)])
         check_grads(lambda ts: ad.tensor_sum(ad.mul(ad.log_softmax(ts[0]), ts[1])),
@@ -132,9 +132,9 @@ def test_gradient_suite():
         check_grads(lambda ts: ad.tensor_sum(ad.mul(ad.layer_norm(ts[0], ts[1], ts[2]),
                                                     ts[3])),
                     [arr(3, 4), arr(4), arr(4), arr(3, 4)])
-        check_grads(lambda ts: ad.tensor_sum(ad.conv2d(ts[0], ts[1],
+        check_grads(lambda ts: ad.tensor_sum(ad.conv2d(ts[0], ts[1], ts[2],
                                                        stride=2, pad=1)),
-                    [arr(1, 2, 4, 4), arr(2, 2, 3, 3)])
+                    [arr(1, 4, 4, 2), arr(2, 2, 3, 3), arr(2)])
 
         # one full dual-attention block on a 64-element input
         cfg = md.ModelConfig(input_size=16, num_classes=2,

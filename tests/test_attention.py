@@ -234,7 +234,7 @@ def test_diagonal_blocks_equal_advanced_index_oracle(ng, k):
     w = rng.normal(size=(ng * cg, k * ng * cg)).astype(np.float32)
     d = np.arange(ng)
     want = w.reshape(ng, cg, k, ng, cg)[d, :, :, d, :].reshape(ng, cg, k * cg)
-    got = at._diagonal_blocks(ad.Tensor(w.copy()), ng, k).data
+    got = ad.diagonal_blocks(ad.Tensor(w.copy()), ng).data
     assert got.shape == (ng, cg, k * cg)
     assert (got == want).all()
 

@@ -208,14 +208,6 @@ def test_softmax_mask():
     assert abs(out.data[0, :2].sum() - 1.0) < 1e-6
 
 
-def test_softmax_tensor_mask_matches_array_mask():
-    x = ad.from_values((2, 3), [1, 2, 3, 4, 5, 6])
-    mask = np.array([[True, True, False], [True, False, False]])
-    want = ad.softmax(x, axis=1, mask=mask).data
-    got = ad.softmax(x, axis=1, mask=ad.Tensor(mask)).data
-    assert got.tobytes() == want.tobytes()
-
-
 def test_softmax_mask_all_false_slice():
     x = ad.zeros((2, 2))
     with pytest.raises(ValueError):
@@ -287,7 +279,7 @@ def test_softmax_backward_equals_formula_bitwise():
 
 
 def conv_loops(x, w, stride, pad4):
-    # independent oracle: direct sliding-window accumulation
+    # independent oracle: direct sliding-window accumulation, NCHW in and out
     top, bottom, left, right = pad4
     xp = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
     n, cin, hp, wp = xp.shape
@@ -305,27 +297,28 @@ def conv_loops(x, w, stride, pad4):
 
 
 def test_conv_table_shape_300_to_75():
-    x = ad.zeros((1, 3, 300, 300))
+    x = ad.zeros((1, 300, 300, 3))
     w = ad.zeros((96, 3, 7, 7))
-    out = ad.conv2d(x, w, stride=4, pad=3)
-    assert out.shape == (1, 96, 75, 75)
+    out = ad.conv2d(x, w, ad.zeros((96,)), stride=4, pad=3)
+    assert out.shape == (1, 75, 75, 96)
 
 
 def test_conv_all_ones_147():
-    x = ad.ones((1, 3, 9, 9))
+    x = ad.ones((1, 9, 9, 3))
     w = ad.ones((1, 3, 7, 7))
-    out = ad.conv2d(x, w, stride=1, pad=0)
-    assert out.shape == (1, 1, 3, 3)
+    out = ad.conv2d(x, w, ad.zeros((1,)), stride=1, pad=0)
+    assert out.shape == (1, 3, 3, 1)
     assert (out.data == 147.0).all()
 
 
 def test_conv_1x1_equals_channel_matmul():
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(2, 4, 5, 5))
+    x = rng.normal(size=(2, 5, 5, 4))
     w = rng.normal(size=(6, 4, 1, 1))
-    got = ad.conv2d(ad.Tensor(x.copy()), ad.Tensor(w.copy())).data
-    # oracle: per-pixel channel mixing via matmul
-    want = np.einsum("nchw,oc->nohw", x, w[:, :, 0, 0])
+    b = rng.normal(size=(6,))
+    got = ad.conv2d(ad.Tensor(x.copy()), ad.Tensor(w.copy()), ad.Tensor(b.copy())).data
+    # oracle: per-pixel channel mixing via matmul, plus the bias
+    want = np.einsum("nhwc,oc->nhwo", x, w[:, :, 0, 0]) + b
     assert rel_err(got, want) < 1e-5
 
 
@@ -339,13 +332,56 @@ def test_conv_against_loop_oracle():
     for xs, ws, stride, pad4 in cases:
         x = rng.normal(size=xs)
         w = rng.normal(size=ws)
-        got = ad.conv2d(ad.Tensor(x.copy()), ad.Tensor(w.copy()), stride=stride, pad=pad4).data
-        assert rel_err(got, conv_loops(x, w, stride, pad4)) < 1e-5
+        b = rng.normal(size=ws[:1])
+        got = ad.conv2d(ad.Tensor(x.transpose(0, 2, 3, 1).copy()), ad.Tensor(w.copy()),
+                        ad.Tensor(b.copy()), stride=stride, pad=pad4).data
+        want = conv_loops(x, w, stride, pad4).transpose(0, 2, 3, 1) + b
+        assert rel_err(got, want) < 1e-5
 
 
 def test_conv_kernel_too_large():
     with pytest.raises(ValueError):
-        ad.conv2d(ad.zeros((1, 1, 4, 4)), ad.zeros((1, 1, 7, 7)), stride=1, pad=0)
+        ad.conv2d(ad.zeros((1, 4, 4, 1)), ad.zeros((1, 1, 7, 7)), ad.zeros((1,)), stride=1, pad=0)
+
+
+def test_conv_input_without_grad_keeps_weight_grads_bitwise():
+    # dx is formed only for an input that needs it; the w and b gradients
+    # do not depend on whether it was formed
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(2, 7, 7, 3)).astype(np.float32)
+    w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+    b = rng.normal(size=(4,)).astype(np.float32)
+    g = rng.normal(size=(2, 3, 3, 4)).astype(np.float32)
+    grads = []
+    for x_grad in (True, False):
+        ts = [ad.Tensor(x.copy(), requires_grad=x_grad), ad.Tensor(w.copy(), requires_grad=True),
+              ad.Tensor(b.copy(), requires_grad=True)]
+        with ad.Tape():
+            out = ad.conv2d(*ts, stride=2, pad=(1, 0, 1, 0))
+            ad.backward(ad.tensor_sum(ad.mul(out, ad.Tensor(g.copy()))))
+        grads.append(ts)
+    (xa, wa, ba), (xb, wb, bb) = grads
+    assert xa.grad is not None and xb.grad is None
+    assert wa.grad.tobytes() == wb.grad.tobytes()
+    assert ba.grad.tobytes() == bb.grad.tobytes()
+
+
+@pytest.mark.parametrize("ng, k", [(1, 1), (3, 3), (2, 1)])
+def test_diagonal_blocks_grad_is_upstream_on_blocks_and_zero_off(ng, k):
+    rng = np.random.default_rng(38)
+    cg = 4
+    c = ng * cg
+    w = ad.Tensor(rng.normal(size=(c, k * c)).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=(ng, cg, k * cg)).astype(np.float32)
+    with ad.Tape():
+        blocks = ad.diagonal_blocks(w, ng)
+        ad.backward(ad.tensor_sum(ad.mul(blocks, ad.Tensor(g.copy()))))
+    want = np.zeros((c, k * c), np.float32)
+    for grp in range(ng):
+        rows = slice(grp * cg, (grp + 1) * cg)
+        for part in range(k):
+            want[rows, part * c + grp * cg : part * c + (grp + 1) * cg] = g[grp, :, part * cg : (part + 1) * cg]
+    assert w.grad.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -867,12 +903,15 @@ def test_grad_layer_norm():
 
 def test_grad_conv2d():
     rng = np.random.default_rng(30)
-    x = rng.normal(size=(1, 2, 4, 4))
+    x = rng.normal(size=(1, 4, 4, 2))
     w = rng.normal(size=(2, 2, 3, 3))
-    check_grads(lambda ts: ad.tensor_sum(ad.conv2d(ts[0], ts[1], stride=1, pad=1)), [x, w])
-    x2 = rng.normal(size=(1, 1, 5, 5))
+    b = rng.normal(size=(2,))
+    check_grads(lambda ts: ad.tensor_sum(ad.conv2d(ts[0], ts[1], ts[2], stride=1, pad=1)), [x, w, b])
+    x2 = rng.normal(size=(1, 5, 5, 1))
     w2 = rng.normal(size=(2, 1, 2, 2))
-    check_grads(lambda ts: ad.tensor_sum(ad.conv2d(ts[0], ts[1], stride=2, pad=(0, 1, 0, 1))), [x2, w2])
+    b2 = rng.normal(size=(2,))
+    check_grads(lambda ts: ad.tensor_sum(ad.conv2d(ts[0], ts[1], ts[2], stride=2, pad=(0, 1, 0, 1))),
+                [x2, w2, b2])
 
 
 # ---------------------------------------------------------------------------
@@ -881,10 +920,11 @@ def test_grad_conv2d():
 
 def test_forward_determinism_bitwise():
     rng = np.random.default_rng(31)
-    x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
+    x = rng.normal(size=(2, 6, 6, 3)).astype(np.float32)
     w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-    a = ad.conv2d(ad.Tensor(x.copy()), ad.Tensor(w.copy()), stride=1, pad=1).data
-    b = ad.conv2d(ad.Tensor(x.copy()), ad.Tensor(w.copy()), stride=1, pad=1).data
+    bias = rng.normal(size=(4,)).astype(np.float32)
+    a = ad.conv2d(ad.Tensor(x.copy()), ad.Tensor(w.copy()), ad.Tensor(bias.copy()), stride=1, pad=1).data
+    b = ad.conv2d(ad.Tensor(x.copy()), ad.Tensor(w.copy()), ad.Tensor(bias.copy()), stride=1, pad=1).data
     assert (a == b).all()
     s1 = ad.softmax(ad.Tensor(x.copy()), axis=1).data
     s2 = ad.softmax(ad.Tensor(x.copy()), axis=1).data

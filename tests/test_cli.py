@@ -85,6 +85,12 @@ def test_train_artifacts(workspace):
         assert set(rec) == {"epoch", "lr", "train_loss", "train_acc",
                             "val_acc", "rejected"}
     assert [r["epoch"] for r in records] == [0, 1]
+    model = md.build_model(load_run_config(workspace["cfg"]).model, seed=0)
+    best_state, _ = ck.load_checkpoint(out / "best.ckpt", model)
+    assert best_state is None  # the AdamW moments go to last.ckpt only
+    last_state, _ = ck.load_checkpoint(out / "last.ckpt", model)
+    names = set(model.named_parameters())
+    assert set(last_state.m) == names and set(last_state.v) == names
 
 
 def test_train_determinism(workspace, tmp_path):

@@ -34,23 +34,23 @@ def test_default_stage_sizes_are_table_values():
 def test_patch_embed_300_to_75():
     cfg = md.default_config()
     m = md.build_model(cfg, seed=0)
-    out = md.patch_embed(ad.zeros((1, 3, 300, 300)), m.stages[0], cfg.stages[0])
-    assert out.shape == (1, 96, 75, 75)
+    out = md.patch_embed(ad.zeros((1, 300, 300, 3)), m.stages[0], cfg.stages[0])
+    assert out.shape == (1, 75, 75, 96)
 
 
 def test_patch_embed_ceil_rule_75_to_38_and_19_to_10():
     s = md.StageConfig(2, 2, 0, 4, 1, 7, 2)
     sp = md.StageParams(md.EmbedParams(ad.zeros((4, 2, 2, 2)), ad.zeros((4,))), [])
-    assert md.patch_embed(ad.zeros((1, 2, 75, 75)), sp, s).shape == (1, 4, 38, 38)
-    assert md.patch_embed(ad.zeros((1, 2, 38, 38)), sp, s).shape == (1, 4, 19, 19)
-    assert md.patch_embed(ad.zeros((1, 2, 19, 19)), sp, s).shape == (1, 4, 10, 10)
+    assert md.patch_embed(ad.zeros((1, 75, 75, 2)), sp, s).shape == (1, 38, 38, 4)
+    assert md.patch_embed(ad.zeros((1, 38, 38, 2)), sp, s).shape == (1, 19, 19, 4)
+    assert md.patch_embed(ad.zeros((1, 19, 19, 2)), sp, s).shape == (1, 10, 10, 4)
 
 
 def test_patch_embed_rejects_non_square():
     s = md.StageConfig(2, 2, 0, 4, 1, 7, 2)
     sp = md.StageParams(md.EmbedParams(ad.zeros((4, 2, 2, 2)), ad.zeros((4,))), [])
     with pytest.raises(ValueError):
-        md.patch_embed(ad.zeros((1, 2, 8, 10)), sp, s)
+        md.patch_embed(ad.zeros((1, 8, 10, 2)), sp, s)
 
 
 def test_config_validation():
