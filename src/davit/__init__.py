@@ -8,12 +8,7 @@ synthetic data), `train` (AdamW, schedules, thresholded evaluation),
 `config`/`cli` (run configuration and the `davit` command).
 """
 
-from davit.attention import (
-    AttentionParams,
-    channel_group_attention,
-    init_attention_params,
-    spatial_window_attention,
-)
+from davit.attention import AttentionParams, channel_group_attention, spatial_window_attention
 from davit.autodiff import GraphError, NonFiniteError, Tape, Tensor, backward
 from davit.augment import apply_policy, mixup, parse_policy, sample_lambda, weighted_sampler
 from davit.bench import BenchReport, measure_fps
@@ -78,7 +73,6 @@ __all__ = [
     "default_config",
     "evaluate",
     "forward",
-    "init_attention_params",
     "load_checkpoint",
     "load_dataset",
     "load_run_config",

@@ -8,14 +8,16 @@ groups of group_width) and each token's feature vector is the whole
 H*W spatial map, so every channel token is globally receptive.
 
 Both kernels share one parameter layout: a fused C -> 3C q/k/v linear
-map and a C -> C output projection. In the channel kernel the q/k/v and
-projection maps use only the diagonal blocks of those weights, one
-Cg x Cg block per group (a channel only mixes with channels of its own
-group), which keeps groups fully independent: a perturbation inside one
-group leaves every other group's output bitwise unchanged, and the
-off-diagonal entries get zero gradient. With a single group the one
-diagonal block is the whole weight and the kernel reduces to the dense
-map.
+map and a C -> C output projection, each applied as one `ad.linear`. In
+the channel kernel the q/k/v and projection maps use only the diagonal
+blocks of those weights, one Cg x Cg block per group (a channel only
+mixes with channels of its own group), and the matching Cg-wide slices
+of the biases: each map is one grouped `ad.linear`, which adds the
+group's bias inside its GEMM. This keeps groups fully independent: a
+perturbation inside one group leaves every other group's output bitwise
+unchanged, and the off-diagonal entries get zero gradient. With a single
+group the one diagonal block is the whole weight and the kernel reduces
+to the dense map.
 """
 
 from __future__ import annotations
@@ -51,16 +53,6 @@ class AttentionParams:
     @property
     def channels(self):
         return self.qkv_weight.shape[0]
-
-
-def init_attention_params(channels, head_width, rng, dtype=None):
-    return AttentionParams(
-        qkv_weight=ad.trunc_normal((channels, 3 * channels), 0.0, 0.02, rng=rng, dtype=dtype, requires_grad=True),
-        qkv_bias=ad.zeros((3 * channels,), requires_grad=True, dtype=dtype),
-        proj_weight=ad.trunc_normal((channels, channels), 0.0, 0.02, rng=rng, dtype=dtype, requires_grad=True),
-        proj_bias=ad.zeros((channels,), requires_grad=True, dtype=dtype),
-        head_width=head_width,
-    )
 
 
 def _attend(qkv, scale, mask=None):
@@ -130,15 +122,15 @@ def channel_group_attention(x, p, return_weights=False):
     n = h * wd
 
     groups = ad.transpose(ad.reshape(x, (b * n, ng, cg)), (1, 0, 2))  # (Ng, B*N, Cg)
-    qkv = ad.matmul(groups, ad.diagonal_blocks(p.qkv_weight, ng))  # (Ng, B*N, 3Cg)
-    qkv = ad.transpose(ad.reshape(qkv, (ng, b, n, 3, cg)), (3, 1, 0, 4, 2))
-    qkv = ad.add(qkv, ad.reshape(p.qkv_bias, (3, 1, ng, cg, 1)))  # (3, B, Ng, Cg, N)
+    qkv_bias = ad.reshape(ad.transpose(ad.reshape(p.qkv_bias, (3, ng, cg)), (1, 0, 2)), (ng, 3 * cg))
+    qkv = ad.linear(groups, ad.diagonal_blocks(p.qkv_weight, ng), qkv_bias)  # (Ng, B*N, 3Cg)
+    qkv = ad.transpose(ad.reshape(qkv, (ng, b, n, 3, cg)), (3, 1, 0, 4, 2))  # (3, B, Ng, Cg, N)
     out, attn = _attend(ad.reshape(qkv, (3, b * ng, cg, n)), 1.0 / np.sqrt(cg))
 
     out = ad.transpose(ad.reshape(out, (b, ng, cg, n)), (1, 0, 3, 2))
-    out = ad.matmul(ad.reshape(out, (ng, b * n, cg)), ad.diagonal_blocks(p.proj_weight, ng))
+    out = ad.linear(ad.reshape(out, (ng, b * n, cg)), ad.diagonal_blocks(p.proj_weight, ng),
+                    ad.reshape(p.proj_bias, (ng, cg)))
     out = ad.reshape(ad.transpose(ad.reshape(out, (ng, b, h, wd, cg)), (1, 2, 3, 0, 4)), (b, h, wd, c))
-    out = ad.add(out, p.proj_bias)
     if return_weights:
         return out, attn.data
     return out

@@ -354,7 +354,8 @@ def diagonal_blocks(w, ng):
 
     The columns of w are k parts of C channels each (q, k and v for the
     qkv map); block g holds the rows of group g and, in every part, the
-    columns of group g. The blocks never overlap, so backward assigns.
+    columns of group g, so the result is a grouped weight for linear. The
+    blocks never overlap, so backward assigns.
     """
     c, kc = w.shape
     cg, k = c // ng, kc // c
@@ -440,23 +441,24 @@ def matmul(a, b):
 
 
 def linear(x, w, b):
-    """x @ w + b over every leading axis of x, as one GEMM.
+    """x @ w + b as one GEMM per group, the bias added in place.
 
-    x is (..., K), w is (K, N) and b is (N,); the leading axes of x are
-    folded into the rows of a single (rows, K) @ (K, N) product.
+    w is (*G, K, N) and b is (*G, N), where G are leading group axes (none
+    for a dense map); x is (*G, ..., K), and its axes between G and K are
+    folded into the rows of one (rows, K) @ (K, N) product per group.
     """
-    k, n = w.shape
-    if x.shape[-1] != k or b.shape != (n,):
-        raise ValueError(f"linear needs x (..., {k}) and b ({n},), got {x.shape} and {b.shape}")
-    x2 = x.data.reshape(-1, k)
+    lead, (k, n) = w.shape[:-2], w.shape[-2:]
+    if x.shape[:len(lead)] != lead or x.shape[-1] != k or b.shape != lead + (n,):
+        raise ValueError(f"linear needs x {lead} + (..., {k}) and b {lead + (n,)}, got {x.shape} and {b.shape}")
+    x2 = x.data.reshape(lead + (-1, k))
     out_data = x2 @ w.data
-    out_data += b.data
+    out_data += b.data[..., None, :]
 
     def run(g):
-        g2 = g.reshape(-1, n)
-        _accum(w, x2.T @ g2)
-        _accum(b, g2.sum(axis=0))
-        _accum(x, (g2 @ w.data.T).reshape(x.shape))
+        g2 = g.reshape(lead + (-1, n))
+        _accum(w, np.swapaxes(x2, -1, -2) @ g2)
+        _accum(b, g2.sum(axis=-2))
+        _accum(x, (g2 @ np.swapaxes(w.data, -1, -2)).reshape(x.shape))
 
     return _make("linear", out_data.reshape(x.shape[:-1] + (n,)), (x, w, b), run)
 

@@ -38,6 +38,10 @@ def _load_splits(rc):
     if rc.manifest is None:
         raise CliError("config is missing [data] manifest")
     ds = load_dataset(rc.manifest)
+    want = (rc.model.input_channels, rc.model.input_size, rc.model.input_size)
+    if ds[0].image.shape != want:
+        raise CliError(f"{rc.manifest}: images are {'x'.join(map(str, ds[0].image.shape))}, "
+                       f"but [model] expects {'x'.join(map(str, want))}")
     train_ds, val_ds = split_dataset(ds, rc.train_fraction, rc.split_seed,
                                      holdout_tags=rc.holdout_tags)
     if len(train_ds) == 0:

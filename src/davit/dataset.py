@@ -100,9 +100,9 @@ def write_ppm(path, image):
 def load_dataset(manifest_path, class_names=None) -> Dataset:
     """Read a manifest CSV and decode every referenced image, in order.
 
-    When class_names is omitted the class list is the sorted set of
-    label names found in the manifest; when given, a label outside the
-    list is an error.
+    Every image must have the first row's shape. When class_names is
+    omitted the class list is the sorted set of label names found in the
+    manifest; when given, a label outside the list is an error.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
@@ -139,6 +139,9 @@ def load_dataset(manifest_path, class_names=None) -> Dataset:
         if not path.is_file():
             raise row_error(idx, f"image file missing: {path}")
         image = read_ppm(path)
+        if samples and image.shape != samples[0].image.shape:
+            raise row_error(idx, f"image {path} has shape {image.shape}, "
+                                 f"the first row's has {samples[0].image.shape}")
         weight = 1.0
         if row.get("weight"):
             try:

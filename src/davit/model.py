@@ -211,6 +211,9 @@ def build_model(cfg: ModelConfig, seed: int, dtype=None) -> Model:
         b = ad.zeros((cout,), requires_grad=True, dtype=dtype)
         return w, b
 
+    def attention(c, head_width):  # qkv, then proj: the draw order the pinned parameter bytes fix
+        return at.AttentionParams(*linear(c, 3 * c), *linear(c, c), head_width)
+
     stages = []
     cin = cfg.input_channels
     for s in cfg.stages:
@@ -226,11 +229,11 @@ def build_model(cfg: ModelConfig, seed: int, dtype=None) -> Model:
             w4, b4 = linear(hidden, s.channels)
             blocks.append(BlockParams(
                 norm1=norm(s.channels),
-                spatial=at.init_attention_params(s.channels, s.head_width, rng, dtype=dtype),
+                spatial=attention(s.channels, s.head_width),
                 norm2=norm(s.channels),
                 ffn1=FFNParams(w1, b1, w2, b2),
                 norm3=norm(s.channels),
-                channel=at.init_attention_params(s.channels, s.head_width, rng, dtype=dtype),
+                channel=attention(s.channels, s.head_width),
                 norm4=norm(s.channels),
                 ffn2=FFNParams(w3, b3, w4, b4),
             ))

@@ -150,13 +150,16 @@ def test_matmul_shape_errors():
 
 def test_linear_rank2_equals_matmul_add_bitwise():
     rng = np.random.default_rng(33)
-    x = rng.normal(size=(5, 7)).astype(np.float32)
-    w = rng.normal(size=(7, 3)).astype(np.float32)
-    b = rng.normal(size=(3,)).astype(np.float32)
-    got = ad.linear(ad.Tensor(x.copy()), ad.Tensor(w.copy()), ad.Tensor(b.copy())).data
-    want = ad.add(ad.matmul(ad.Tensor(x.copy()), ad.Tensor(w.copy())), ad.Tensor(b.copy())).data
-    assert got.dtype == np.float32
-    assert got.tobytes() == want.tobytes()
+    # a dense (R, K) @ (K, N) + (N,) map, then a grouped (G, R, K) @ (G, K, N) + (G, N) one
+    for x_shape, w_shape in (((5, 7), (7, 3)), ((2, 5, 7), (2, 7, 3))):
+        x = rng.normal(size=x_shape).astype(np.float32)
+        w = rng.normal(size=w_shape).astype(np.float32)
+        b = rng.normal(size=w_shape[:-2] + w_shape[-1:]).astype(np.float32)
+        got = ad.linear(ad.Tensor(x.copy()), ad.Tensor(w.copy()), ad.Tensor(b.copy())).data
+        bias = ad.Tensor(b.reshape(w_shape[:-2] + (1, 3)).copy())
+        want = ad.add(ad.matmul(ad.Tensor(x.copy()), ad.Tensor(w.copy())), bias).data
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
 
 
 def test_linear_shape_errors():
@@ -164,6 +167,11 @@ def test_linear_shape_errors():
         ad.linear(ad.zeros((2, 3)), ad.zeros((4, 2)), ad.zeros((2,)))
     with pytest.raises(ValueError):
         ad.linear(ad.zeros((2, 3)), ad.zeros((3, 2)), ad.zeros((3,)))
+    # grouped: x must lead with w's group count, and b carries it too
+    with pytest.raises(ValueError, match="linear needs"):
+        ad.linear(ad.zeros((3, 5, 4)), ad.zeros((2, 4, 3)), ad.zeros((2, 3)))
+    with pytest.raises(ValueError, match="linear needs"):
+        ad.linear(ad.zeros((2, 5, 4)), ad.zeros((2, 4, 3)), ad.zeros((3,)))
 
 
 def test_linear_nonfinite_output_raises():
@@ -780,12 +788,13 @@ def test_grad_matmul_plain_and_batched():
                 [rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 2, 3))])
 
 
-@pytest.mark.parametrize("shape", [(3, 4), (2, 12, 4)], ids=["rank2", "b2_3x4"])
-def test_grad_linear(shape):
+@pytest.mark.parametrize("shape, w_shape", [((3, 4), (4, 3)), ((2, 12, 4), (4, 3)), ((2, 5, 4), (2, 4, 3))],
+                         ids=["rank2", "b2_3x4", "grouped2"])
+def test_grad_linear(shape, w_shape):
     rng = np.random.default_rng(34)
     weights = rng.normal(size=shape[:-1] + (3,))
     check_grads(lambda ts: ad.tensor_sum(ad.mul(ad.linear(ts[0], ts[1], ts[2]), ad.Tensor(weights.copy()))),
-                [rng.normal(size=shape), rng.normal(size=(4, 3)), rng.normal(size=(3,))])
+                [rng.normal(size=shape), rng.normal(size=w_shape), rng.normal(size=w_shape[:-2] + (3,))])
 
 
 def test_grad_reshape_transpose_pad_slice():

@@ -111,6 +111,19 @@ def test_missing_manifest(tmp_path, capsys):
     assert "missing.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_image_size_unlike_input_size_fails_early(workspace, command, capsys):
+    root = workspace["root"]
+    cfg = root / f"size24_{command}.cfg"
+    cfg.write_text(BASE_CONFIG.format(out=f"run_size24_{command}").replace("input_size = 32", "input_size = 24"),
+                   encoding="utf-8")
+    init = [] if command == "train" else ["--init-from", str(workspace["out"] / "best.ckpt")]
+    assert cli.main([command, "--config", str(cfg)] + init) != 0
+    err = capsys.readouterr().err
+    assert "manifest.csv: images are 3x32x32, but [model] expects 3x24x24" in err
+    assert not (root / f"run_size24_{command}" / "INCOMPLETE").exists()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[train]\nbogus = 1\n", encoding="utf-8")

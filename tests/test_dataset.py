@@ -92,6 +92,15 @@ def test_load_missing_file_names_row(tmp_path):
         ds.load_dataset(manifest)
 
 
+def test_load_rejects_odd_image_shape_names_row(tmp_path):
+    put_image(tmp_path, "a.ppm")
+    put_image(tmp_path, "b.ppm")
+    (tmp_path / "wide.ppm").write_bytes(b"P6\n3 2\n255\n" + bytes([128] * 18))
+    manifest = write_manifest(tmp_path, ["a.ppm,cat", "b.ppm,dog", "wide.ppm,dog"])
+    with pytest.raises(ValueError, match=r"row 4: image .*wide\.ppm has shape \(3, 2, 3\)"):
+        ds.load_dataset(manifest)
+
+
 def test_load_tag_and_weight_columns(tmp_path):
     put_image(tmp_path, "a.ppm")
     put_image(tmp_path, "b.ppm")

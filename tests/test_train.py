@@ -1,11 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import davit
 from davit import autodiff as ad
 from davit import model as md
 from davit import train as tr
+from davit.augment import parse_policy
 from davit.dataset import Dataset, Sample, one_hot
 from conftest import check_grads
 
@@ -222,14 +225,14 @@ def full_set_loss(model, data):
     return tr.soft_cross_entropy(md.forward(model, images), targets).item()
 
 
-def run_epochs(train_seed, epochs=5):
+def run_epochs(train_seed, epochs=5, policy=None):
     model, data = toy_model_and_data()
     cfg = tr.TrainConfig(base_lr=1e-2, warmup_epochs=0, total_epochs=epochs,
                          batch_size=4, mixup_alpha=0.0, seed=train_seed)
     state = tr.OptimizerState()
     losses = []
     for e in range(epochs):
-        tr.train_epoch(model, data, cfg, e, state)
+        tr.train_epoch(model, data, cfg, e, state, policy=policy)
         losses.append(full_set_loss(model, data))
     return model, losses
 
@@ -249,6 +252,17 @@ def test_training_bitwise_reproducible():
     assert l1 == l2
     for name, t in m1.named_parameters().items():
         assert (t.data == m2.named_parameters()[name].data).all(), name
+
+
+def test_training_with_packaged_policy_reproducible():
+    policy = parse_policy(Path(davit.__file__).parent / "policies" / "default.policy")
+    m1, _ = run_epochs(7, epochs=2, policy=policy)
+    m2, _ = run_epochs(7, epochs=2, policy=policy)
+    plain, _ = run_epochs(7, epochs=2)
+    p1, p2, p0 = (m.named_parameters() for m in (m1, m2, plain))
+    for name, t in p1.items():
+        assert t.data.tobytes() == p2[name].data.tobytes(), name
+    assert any(t.data.tobytes() != p0[name].data.tobytes() for name, t in p1.items())
 
 
 def test_mixup_alpha_zero_path_runs():
