@@ -620,12 +620,12 @@ def layer_norm(t, gamma, beta, eps=1e-5):
         inv = inv.reshape(t.shape[:-1] + (1,))
 
     def run(g):
-        dxhat = g * gamma.data
-        _accum(gamma, (g * xhat).reshape(-1, n).sum(axis=0))
+        dxhat, prod = g * gamma.data, g * xhat
+        _accum(gamma, prod.reshape(-1, n).sum(axis=0))
         _accum(beta, g.reshape(-1, n).sum(axis=0))
         # dx = (inv / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
         # each step in the order of that expression, in dxhat and prod
-        prod = dxhat * xhat
+        np.multiply(dxhat, xhat, out=prod)
         s1, s2 = dxhat.sum(axis=-1, keepdims=True), prod.sum(axis=-1, keepdims=True)
         dxhat *= n
         dxhat -= s1

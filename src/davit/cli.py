@@ -11,6 +11,9 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import autodiff as ad
 from . import bench as bh
 from . import checkpoint as ck
 from . import model as md
@@ -182,12 +185,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         rc = load_run_config(args.config, seed=args.seed, threshold=args.threshold)
-        return args.func(args, rc)
+        # every op output is scanned, so an overflow surfaces as NonFiniteError
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args, rc)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
     except ck.CheckpointMismatchError as exc:
         print(f"error: checkpoint mismatch: {exc}", file=sys.stderr)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ad.NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return 1
 

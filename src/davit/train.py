@@ -1,9 +1,10 @@
 """Loss, AdamW, warmup schedule, training loop, thresholded evaluation.
 
 One training step: draw a weighted batch, augment, mix consecutive
-pairs, run forward/backward on a fresh tape, and apply one AdamW step
-at the scheduled learning rate. All randomness derives from
-(seed, epoch, stream) tuples, so a run is bitwise reproducible.
+pairs, run each sample's forward/backward on its own tape, and apply one
+AdamW step to the summed gradients at the scheduled learning rate. All
+randomness derives from (seed, epoch, stream) tuples, so a run is
+bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -156,8 +157,12 @@ def _epoch_rng(seed, epoch, stream):
 def train_epoch(model: md.Model, train: Dataset, cfg: TrainConfig, epoch, state, policy=None):
     """One pass of ceil(n/batch) full batches; returns (mean loss, train accuracy).
 
-    Train accuracy is argmax agreement against the mixed (soft) targets,
-    measured on the augmented batches the optimizer actually saw.
+    Each batch is run as per-sample forward/backward passes (micro-batched
+    gradient accumulation): sample k's loss is scaled by 1/batch and its
+    gradients add onto the leaves' .grad in sample order, then one AdamW
+    step runs. A step's loss is the sum of those scaled parts. Train
+    accuracy is argmax agreement against the mixed (soft) targets,
+    measured on the augmented samples the optimizer actually saw.
     """
     if not train.samples:
         raise ValueError("training set is empty")
@@ -185,16 +190,17 @@ def train_epoch(model: md.Model, train: Dataset, cfg: TrainConfig, epoch, state,
             mixed[k] = mixup(samples[k], samples[k + 1], lam)
             mixed[k + 1] = mixup(samples[k + 1], samples[k], lam)
 
-        images = ad.Tensor(np.stack([s.image.data for s in mixed]))
-        targets = np.stack([s.label for s in mixed])
         zero_grads(params)
-        with ad.Tape():
-            logits = md.forward(model, images)
-            loss = soft_cross_entropy(logits, targets)
-            ad.backward(loss)
+        loss = 0.0
+        for s in mixed:  # each sample's tape is freed by its backward
+            with ad.Tape():
+                logits = md.forward(model, ad.Tensor(s.image.data[None]))
+                part = ad.scale(soft_cross_entropy(logits, s.label[None]), 1.0 / b)
+                ad.backward(part)
+            loss += part.item()
+            hits += int(logits.data.argmax() == s.label.argmax())
         adamw_step(params, state, cfg, lr)
-        losses.append(loss.item())
-        hits += int((logits.data.argmax(axis=1) == targets.argmax(axis=1)).sum())
+        losses.append(loss)
 
     return float(np.mean(losses)), hits / (steps * b)
 

@@ -104,6 +104,20 @@ def test_train_determinism(workspace, tmp_path):
     assert (a / "last.ckpt").read_bytes() == (b / "last.ckpt").read_bytes()
 
 
+def test_diverging_train_ends_with_one_error_line(workspace, capsys, recwarn):
+    root = workspace["root"]
+    cfg = root / "diverge.cfg"
+    text = BASE_CONFIG.format(out="run_diverge").replace("base_lr = 0.01", "base_lr = 1e30")
+    cfg.write_text(text, encoding="utf-8")
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: linear produced non-finite values"
+    assert not any(line.startswith("error:") for line in err[:-1])
+    assert (root / "run_diverge" / "INCOMPLETE").is_file()
+    # the overflow surfaces only as that error, not as numpy RuntimeWarnings
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_missing_manifest(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[data]\nmanifest = nowhere/missing.csv\n", encoding="utf-8")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import davit
 from davit import autodiff as ad
 from davit import model as md
 from davit import train as tr
-from davit.augment import parse_policy
+from davit.augment import mixup, parse_policy, sample_lambda, weighted_sampler
 from davit.dataset import Dataset, Sample, one_hot
 from conftest import check_grads
 
@@ -204,17 +205,18 @@ def test_moments_accumulate_across_steps():
 # training loop
 
 
-def toy_model_and_data(model_seed=0, n=16, num_classes=2):
-    cfg = md.ModelConfig(input_size=16, num_classes=num_classes,
-                         stages=[md.StageConfig(7, 4, 3, 4, 1, 2, 2)])
-    model = md.build_model(cfg, seed=model_seed)
+def toy_model_and_data(model_seed=0, n=16, num_classes=2, dtype=np.float32, stages=None,
+                       size=16):
+    cfg = md.ModelConfig(input_size=size, num_classes=num_classes,
+                         stages=stages or [md.StageConfig(7, 4, 3, 4, 1, 2, 2)])
+    model = md.build_model(cfg, seed=model_seed, dtype=dtype)
     rng = np.random.default_rng(42)
     samples = []
     for i in range(n):
         k = i % num_classes
-        img = rng.uniform(0.0, 0.25, size=(3, 16, 16))
+        img = rng.uniform(0.0, 0.25, size=(3, size, size))
         img[k] += 0.6  # class decides the dominant color channel
-        samples.append(Sample(ad.Tensor(np.clip(img, 0, 1).astype(np.float32)),
+        samples.append(Sample(ad.Tensor(np.clip(img, 0, 1).astype(dtype)),
                               one_hot(k, num_classes)))
     return model, Dataset(samples, [str(c) for c in range(num_classes)])
 
@@ -282,6 +284,66 @@ def test_rebound_parameter_is_named_and_trained():
                          batch_size=len(data.samples), mixup_alpha=0.0, seed=0)
     tr.train_epoch(model, data, cfg, 0, tr.OptimizerState())  # one step
     assert (fresh.data != before).any()
+
+
+def batched_step(model, data, cfg):
+    """Epoch 0's first step with the whole mixed batch on one tape, then AdamW."""
+    b = cfg.batch_size
+    idx = weighted_sampler(data, b, seed=(cfg.seed, 0, 0))
+    samples = [data.samples[int(i)] for i in idx]
+    lam_rng = np.random.default_rng((cfg.seed, 0, 1))
+    mixed = list(samples)
+    for k in range(0, b - 1, 2):
+        lam = sample_lambda(cfg.mixup_alpha, lam_rng)
+        mixed[k] = mixup(samples[k], samples[k + 1], lam)
+        mixed[k + 1] = mixup(samples[k + 1], samples[k], lam)
+    params = model.named_parameters()
+    with ad.Tape():
+        logits = md.forward(model, ad.Tensor(np.stack([s.image.data for s in mixed])))
+        loss = tr.soft_cross_entropy(logits, np.stack([s.label for s in mixed]))
+        ad.backward(loss)
+    tr.adamw_step(params, tr.OptimizerState(), cfg, tr.lr_schedule(0, cfg))
+    return loss.item()
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_per_sample_step_equals_batched_step(b):
+    # one step of b samples, mixup on; at b=3 the last sample stays unmixed
+    model, data = toy_model_and_data(n=b, num_classes=3, dtype=np.float64)
+    ref, _ = toy_model_and_data(n=b, num_classes=3, dtype=np.float64)
+    cfg = tr.TrainConfig(base_lr=1e-2, warmup_epochs=0, batch_size=b, mixup_alpha=0.2, seed=4)
+    loss, _ = tr.train_epoch(model, data, cfg, 0, tr.OptimizerState())
+    ref_loss = batched_step(ref, data, cfg)
+    ours, theirs = model.named_parameters(), ref.named_parameters()
+    if b == 1:
+        assert loss == ref_loss
+        for name, p in ours.items():
+            assert p.data.tobytes() == theirs[name].data.tobytes(), name
+            assert p.grad.tobytes() == theirs[name].grad.tobytes(), name
+        return
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for name, p in ours.items():
+        for got, want in ((p.data, theirs[name].data), (p.grad, theirs[name].grad)):
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= 1e-12, f"{name}: rel err {err:.3e}"
+
+
+def test_step_memory_does_not_grow_with_batch():
+    stages = [md.StageConfig(4, 4, 0, 16, 1, 4, 8), md.StageConfig(2, 2, 0, 32, 1, 4, 8)]
+    peaks = {}
+    for b in (1, 4):
+        model, data = toy_model_and_data(n=4, size=64, stages=stages)
+        cfg = tr.TrainConfig(warmup_epochs=0, batch_size=b, mixup_alpha=0.2)
+        state = tr.OptimizerState()
+        tr.train_epoch(model, data, cfg, 0, state)  # the AdamW moments exist from here on
+        tracemalloc.start()
+        try:
+            tr.train_epoch(model, data, cfg, 1, state)
+            peaks[b] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4] <= 1.5 * peaks[1], f"B=4 step peak {peaks[4]} bytes, B=1 {peaks[1]}"
+
 
 # ---------------------------------------------------------------------------
 # evaluation
