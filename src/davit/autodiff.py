@@ -4,9 +4,19 @@ Every operation runs eagerly on numpy storage and, while a Tape is
 active, appends one replay node to it. Execution order is already a
 topological order, so the backward pass is a single reverse sweep over
 the tape. The sweep pops each node before replaying it, so a node's
-closure, its output and that output's gradient are released as soon as
-the node has run. A tape can be replayed exactly once; replaying it
-again without re-running the forward pass raises GraphError.
+closure and its gradient are released as soon as the node has run. A
+tape can be replayed exactly once; replaying it again without re-running
+the forward pass raises GraphError.
+
+A recorded op's output gets a gradient slot: a Tensor over a zero-stride
+view of the output's shape and dtype, which the node holds and into which
+the consumers' backwards accumulate. A leaf (any tensor no recorded op
+produced) is its own slot. Each op's backward closure keeps its inputs'
+slots and only the arrays its formula reads, never an output or input
+as such: add, scale, reshape, transpose, pad and sum keep shapes only,
+so the caller's last reference to an activation frees it even while the
+tape lives. Gradients therefore land on leaves only; a recorded output's
+own .grad stays None.
 
 Ops are module functions (add, matmul, linear, reshape, unstack, tensor_sum,
 ...) on Tensors; the only operator Tensor defines is indexing, which is the
@@ -55,6 +65,8 @@ class GraphError(RuntimeError):
 
 
 class Node:
+    """One recorded op: its name, its output's gradient slot, its backward."""
+
     __slots__ = ("op", "out", "run")
 
     def __init__(self, op, out, run):
@@ -88,6 +100,17 @@ def _recording(inputs):
     return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
 
 
+def _held(*inputs):
+    """The inputs as a recorded op's backward keeps them: their gradient slots.
+
+    Off a tape the inputs come back as they are. Ops read their inputs'
+    data before this rebinding, since a slot's data is a zero-stride view.
+    """
+    if _recording(inputs):
+        return tuple(t if t._slot is None else t._slot for t in inputs)
+    return inputs
+
+
 _MOVE_OPS = frozenset(("reshape", "transpose", "slice", "pad"))
 
 
@@ -113,7 +136,7 @@ class Tensor:
     default float dtype, float32/float64 input keeps its precision.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_slot")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -127,6 +150,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._tape = None
+        self._slot = None  # the gradient slot, on a recorded op's output
 
     @property
     def shape(self):
@@ -157,13 +181,14 @@ class Tensor:
         for part in idx if isinstance(idx, tuple) else (idx,):
             if isinstance(part, bool) or not isinstance(part, (int, np.integer, slice, type(None), type(...))):
                 raise IndexError(f"tensor indices must be ints, slices, None or Ellipsis, got {part!r}")
-        raw = self.data[idx]
+        data = self.data  # kept: the gradient buffer takes its memory layout
+        raw = data[idx]
         raw_shape = raw.shape
         out_data = raw if raw.ndim else raw.reshape(1)
-        src = self
+        (src,) = _held(self)
 
         def run(g):
-            buf = np.zeros_like(src.data)
+            buf = np.zeros_like(data)
             buf[idx] = g.reshape(raw_shape)
             _accum(src, buf)
 
@@ -191,7 +216,8 @@ def _make(op, out_data, inputs, run):
     if _recording(inputs):
         out.requires_grad = True
         out._tape = _TAPE_STACK[-1]
-        out._tape.nodes.append(Node(op, out, run))
+        out._slot = Tensor(np.broadcast_to(np.zeros((), out.dtype), out.shape), requires_grad=True)
+        out._tape.nodes.append(Node(op, out._slot, run))
     return out
 
 
@@ -206,11 +232,13 @@ def _unbroadcast(g, shape):
 
 
 def backward(loss):
-    """Replay the loss tensor's tape, accumulating gradients.
+    """Replay the loss tensor's tape, accumulating gradients onto the leaves.
 
-    Gradients add across multiple uses of a tensor within the graph and
-    across successive backward calls on leaf tensors (clear .grad between
-    optimizer steps).
+    The sweep starts from the loss's gradient slot, and each node hands its
+    slot's gradient to its inputs' slots. Only leaves keep a .grad: recorded
+    outputs, the loss included, keep None. Gradients add across multiple
+    uses of a tensor within the graph and across successive backward calls
+    on leaf tensors (clear .grad between optimizer steps).
     """
     tape = loss._tape
     if tape is None:
@@ -220,7 +248,7 @@ def backward(loss):
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     tape.consumed = True
-    loss.grad = np.ones_like(loss.data)
+    loss._slot.grad = np.ones_like(loss.data)
     nodes = tape.nodes
     while nodes:
         node = nodes.pop()
@@ -288,33 +316,42 @@ def trunc_normal(shape, mean=0.0, std=1.0, *, seed=None, rng=None, requires_grad
 
 
 def add(a, b):
+    out_data = a.data + b.data
+    a, b = _held(a, b)
+
     def run(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    return _make("add", a.data + b.data, (a, b), run)
+    return _make("add", out_data, (a, b), run)
 
 
 def mul(a, b):
-    def run(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+    a_data, b_data = a.data, b.data
+    a, b = _held(a, b)
 
-    return _make("mul", a.data * b.data, (a, b), run)
+    def run(g):
+        _accum(a, _unbroadcast(g * b_data, a.shape))
+        _accum(b, _unbroadcast(g * a_data, b.shape))
+
+    return _make("mul", a_data * b_data, (a, b), run)
 
 
 def scale(t, c):
     c = float(c)
+    out_data = t.data * c
+    (t,) = _held(t)
 
     def run(g):
         _accum(t, g * c)
 
-    return _make("scale", t.data * c, (t,), run)
+    return _make("scale", out_data, (t,), run)
 
 
 def reshape(t, shape):
     in_shape = t.shape
     out_data = t.data.reshape(shape)
+    (t,) = _held(t)
 
     def run(g):
         _accum(t, g.reshape(in_shape))
@@ -327,11 +364,13 @@ def transpose(t, axes):
     if sorted(axes) != list(range(t.ndim)):
         raise ValueError(f"invalid permutation {axes} for rank {t.ndim}")
     inv = tuple(np.argsort(axes))
+    out_data = t.data.transpose(axes)
+    (t,) = _held(t)
 
     def run(g):
         _accum(t, g.transpose(inv))
 
-    return _make("transpose", t.data.transpose(axes), (t,), run)
+    return _make("transpose", out_data, (t,), run)
 
 
 def pad(t, pad_width):
@@ -342,11 +381,13 @@ def pad(t, pad_width):
     if any(lo < 0 or hi < 0 for lo, hi in pad_width):
         raise ValueError("pad amounts must be >= 0")
     sl = tuple(slice(lo, lo + s) for (lo, _), s in zip(pad_width, t.shape))
+    out_data = np.pad(t.data, pad_width)
+    (t,) = _held(t)
 
     def run(g):
         _accum(t, g[sl])
 
-    return _make("pad", np.pad(t.data, pad_width), (t,), run)
+    return _make("pad", out_data, (t,), run)
 
 
 def diagonal_blocks(w, ng):
@@ -360,10 +401,12 @@ def diagonal_blocks(w, ng):
     c, kc = w.shape
     cg, k = c // ng, kc // c
     d = np.arange(ng)
-    out_data = w.data.reshape(ng, cg, k, ng, cg)[d, :, :, d, :].reshape(ng, cg, k * cg)
+    data = w.data  # kept: the gradient buffer takes its memory layout
+    out_data = data.reshape(ng, cg, k, ng, cg)[d, :, :, d, :].reshape(ng, cg, k * cg)
+    (w,) = _held(w)
 
     def run(g):
-        buf = np.zeros_like(w.data)
+        buf = np.zeros_like(data)
         buf.reshape(ng, cg, k, ng, cg)[d, :, :, d, :] = g.reshape(ng, cg, k, cg)
         _accum(w, buf)
 
@@ -379,15 +422,18 @@ def unstack(t):
     """
     if t.ndim < 2:
         raise ValueError(f"unstack needs rank >= 2, got shape {t.shape}")
-    whole = _make("slice", t.data, (t,), lambda g: _accum(t, g))
+    data = t.data
+    (t,) = _held(t)
+    whole = _make("slice", data, (t,), lambda g: _accum(t, g))
+    (sink,) = _held(whole)
 
     def part(i):
         def run(g):
-            if whole.grad is None:
-                whole.grad = np.zeros(whole.shape, whole.dtype)
-            np.add(g, 0.0, out=whole.grad[i])
+            if sink.grad is None:
+                sink.grad = np.zeros(sink.shape, sink.dtype)
+            np.add(g, 0.0, out=sink.grad[i])
 
-        return _make("slice", whole.data[i], (whole,), run)
+        return _make("slice", data[i], (sink,), run)
 
     return tuple(part(i) for i in range(t.shape[0]))
 
@@ -400,6 +446,7 @@ def tensor_sum(t, axis=None, keepdims=False):
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
         axes = tuple(a % t.ndim for a in axes)
     out_data = t.data.sum(axis=axes, keepdims=keepdims)
+    (t,) = _held(t)
 
     def run(g):
         if not keepdims:
@@ -433,11 +480,14 @@ def matmul(a, b):
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul extents disagree: {a.shape} @ {b.shape}")
 
-    def run(g):
-        _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+    a_data, b_data = a.data, b.data
+    a, b = _held(a, b)
 
-    return _make("matmul", a.data @ b.data, (a, b), run)
+    def run(g):
+        _accum(a, g @ np.swapaxes(b_data, -1, -2))
+        _accum(b, np.swapaxes(a_data, -1, -2) @ g)
+
+    return _make("matmul", a_data @ b_data, (a, b), run)
 
 
 def linear(x, w, b):
@@ -450,15 +500,16 @@ def linear(x, w, b):
     lead, (k, n) = w.shape[:-2], w.shape[-2:]
     if x.shape[:len(lead)] != lead or x.shape[-1] != k or b.shape != lead + (n,):
         raise ValueError(f"linear needs x {lead} + (..., {k}) and b {lead + (n,)}, got {x.shape} and {b.shape}")
-    x2 = x.data.reshape(lead + (-1, k))
-    out_data = x2 @ w.data
+    x2, w_data = x.data.reshape(lead + (-1, k)), w.data
+    out_data = x2 @ w_data
     out_data += b.data[..., None, :]
+    x, w, b = _held(x, w, b)
 
     def run(g):
         g2 = g.reshape(lead + (-1, n))
         _accum(w, np.swapaxes(x2, -1, -2) @ g2)
         _accum(b, g2.sum(axis=-2))
-        _accum(x, (g2 @ np.swapaxes(w.data, -1, -2)).reshape(x.shape))
+        _accum(x, (g2 @ np.swapaxes(w_data, -1, -2)).reshape(x.shape))
 
     return _make("linear", out_data.reshape(x.shape[:-1] + (n,)), (x, w, b), run)
 
@@ -491,6 +542,7 @@ def softmax(t, axis=-1, mask=None):
         np.subtract(zb, zb.max(axis=axis, keepdims=True), out=sb)
         np.exp(sb, out=sb)
         sb /= sb.sum(axis=axis, keepdims=True)
+    (t,) = _held(t)
 
     def run(g):
         _accum(t, s * (g - (g * s).sum(axis=axis, keepdims=True)))
@@ -502,6 +554,7 @@ def log_softmax(t, axis=-1):
     axis = axis % t.ndim
     z = t.data - t.data.max(axis=axis, keepdims=True)
     out_data = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    (t,) = _held(t)
 
     def run(g):
         _accum(t, g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
@@ -522,6 +575,7 @@ def gelu(t):
     """
     x = t.data
     out_data, d = _gelu_blocks(x, _erf_phi if x.dtype == np.float64 else _as_phi, _recording((t,)))
+    (t,) = _held(t)
 
     def run(g):
         _accum(t, np.multiply(d, g, out=d))
@@ -618,9 +672,11 @@ def layer_norm(t, gamma, beta, eps=1e-5):
     if keep:
         xhat = xhat.reshape(t.shape)
         inv = inv.reshape(t.shape[:-1] + (1,))
+    gamma_data = gamma.data
+    t, gamma, beta = _held(t, gamma, beta)
 
     def run(g):
-        dxhat, prod = g * gamma.data, g * xhat
+        dxhat, prod = g * gamma_data, g * xhat
         _accum(gamma, prod.reshape(-1, n).sum(axis=0))
         _accum(beta, g.reshape(-1, n).sum(axis=0))
         # dx = (inv / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
@@ -684,6 +740,7 @@ def conv2d(x, w, b, stride=1, pad=0):
     wmat = w.data.reshape(cout, -1)
     out_data = cols @ wmat.T
     out_data += b.data
+    x, w, b = _held(x, w, b)
 
     def run(g):
         gmat = g.reshape(-1, cout)

@@ -160,8 +160,9 @@ def train_epoch(model: md.Model, train: Dataset, cfg: TrainConfig, epoch, state,
     Each batch is run as per-sample forward/backward passes (micro-batched
     gradient accumulation): sample k's loss is scaled by 1/batch and its
     gradients add onto the leaves' .grad in sample order, then one AdamW
-    step runs. A step's loss is the sum of those scaled parts. Train
-    accuracy is argmax agreement against the mixed (soft) targets,
+    step runs and the gradients are released, so every parameter's .grad
+    is None on return. A step's loss is the sum of those scaled parts.
+    Train accuracy is argmax agreement against the mixed (soft) targets,
     measured on the augmented samples the optimizer actually saw.
     """
     if not train.samples:
@@ -200,6 +201,7 @@ def train_epoch(model: md.Model, train: Dataset, cfg: TrainConfig, epoch, state,
             loss += part.item()
             hits += int(logits.data.argmax() == s.label.argmax())
         adamw_step(params, state, cfg, lr)
+        zero_grads(params)
         losses.append(loss)
 
     return float(np.mean(losses)), hits / (steps * b)

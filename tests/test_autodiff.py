@@ -711,6 +711,80 @@ def test_backward_releases_each_node():
     assert (x.grad == 6.0).all()
 
 
+# op: (input shapes, the op on those inputs, which inputs its backward keeps,
+# whether it keeps its output). Each backward keeps only the arrays its formula
+# reads: both operands of mul and matmul, linear's x and w, layer_norm's gamma,
+# conv2d's weight matrix (a view of w), the output of softmax and log_softmax.
+# slice and diagonal_blocks keep their source, whose layout the gradient
+# buffer copies.
+RETENTION_CASES = {
+    "add": ([(2, 3), (1, 3)], ad.add, [False, False], False),
+    "mul": ([(2, 3), (2, 3)], ad.mul, [True, True], False),
+    "scale": ([(2, 3)], lambda a: ad.scale(a, 3.0), [False], False),
+    "reshape_copy": ([(2, 3)], lambda a: ad.reshape(ad.transpose(a, (1, 0)), (6,)), [False], False),
+    "transpose": ([(2, 3, 4)], lambda a: ad.transpose(a, (2, 0, 1)), [False], False),
+    "pad": ([(2, 3)], lambda a: ad.pad(a, ((1, 0), (0, 2))), [False], False),
+    "sum": ([(2, 3)], lambda a: ad.tensor_sum(a, axis=1), [False], False),
+    "slice": ([(3, 4)], lambda a: a[1:, ::2], [True], False),
+    "diagonal_blocks": ([(4, 8)], lambda w: ad.diagonal_blocks(w, 2), [True], False),
+    "unstack": ([(2, 3)], ad.unstack, [False], False),
+    "matmul": ([(2, 3), (3, 4)], ad.matmul, [True, True], False),
+    "linear": ([(2, 3, 4), (4, 5), (5,)], ad.linear, [True, True, False], False),
+    "softmax": ([(2, 5)], ad.softmax, [False], True),
+    "log_softmax": ([(2, 5)], ad.log_softmax, [False], True),
+    "gelu": ([(2, 5)], ad.gelu, [False], False),
+    "layer_norm": ([(2, 5), (5,), (5,)], ad.layer_norm, [False, True, False], False),
+    "conv2d": ([(1, 5, 5, 2), (3, 2, 3, 3), (3,)], lambda x, w, b: ad.conv2d(x, w, b, pad=1),
+               [False, True, False], False),
+}
+
+
+def recorded_op_grads(shapes, op, drop):
+    """Leaf gradients of sum(op(inputs)), each input a recorded copy of a leaf.
+
+    With drop, the caller's references to the inputs and the output go
+    before backward; the weak references to their arrays are returned
+    alive or dead as the tape left them.
+    """
+    rng = np.random.default_rng(60)
+    leaves = [ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    with ad.Tape():
+        inputs = [ad.scale(t, 1.0) for t in leaves]  # each owns a fresh array
+        out = op(*inputs)
+        parts = out if isinstance(out, tuple) else (out,)
+        sums = [ad.tensor_sum(part) for part in parts]
+        loss = sums[0] if len(sums) == 1 else ad.add(*sums)
+    refs = ([weakref.ref(t.data) for t in inputs], [weakref.ref(p.data) for p in parts])
+    if drop:
+        del inputs, out, parts
+    alive = ([r() is not None for r in refs[0]], [r() is not None for r in refs[1]])
+    assert not loss._tape.consumed and loss._tape.nodes
+    ad.backward(loss)
+    return alive, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("name", RETENTION_CASES)
+def test_tape_keeps_only_what_backward_reads(name):
+    shapes, op, inputs_kept, out_kept = RETENTION_CASES[name]
+    (inputs_alive, outs_alive), grads = recorded_op_grads(shapes, op, drop=True)
+    assert inputs_alive == inputs_kept
+    assert outs_alive == [out_kept] * len(outs_alive)
+    _, want = recorded_op_grads(shapes, op, drop=False)
+    for got, ref in zip(grads, want):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_recorded_outputs_keep_no_grad():
+    # gradients land on leaves; the loss and every recorded output keep .grad None
+    x = ad.Tensor(np.ones(3), requires_grad=True)
+    with ad.Tape():
+        middle = ad.scale(x, 2.0)
+        loss = ad.tensor_sum(middle)
+        ad.backward(loss)
+    assert middle.grad is None and loss.grad is None
+    assert (x.grad == 2.0).all()
+
+
 def test_no_tape_means_no_recording():
     x = ad.Tensor(np.array([1.0]), requires_grad=True)
     out = ad.scale(x, 2.0)
