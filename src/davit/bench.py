@@ -25,9 +25,11 @@ CSV_COLUMNS = ("model_name", "param_count", "batch_size", "fps",
                "lat_mean_ms", "lat_p50_ms", "lat_p95_ms", "environment")
 
 
-def default_environment() -> str:
-    return (f"python {platform.python_version()} {platform.machine()} "
-            f"single-process")
+def default_environment(model=None, batch=1) -> str:
+    """Python, machine, and the processes a forward of `batch` images runs on."""
+    _, w = md.offtape_plan(model.config, batch) if isinstance(model, md.Model) else (1, 0)
+    procs = f"{w} process{'es' * (w > 1)} at 1 BLAS thread each" if w else "single-process"
+    return f"python {platform.python_version()} {platform.machine()} {procs}"
 
 
 @dataclass
@@ -105,7 +107,7 @@ def measure_fps(model, input_shape=None, warmup_iters: int = 20,
         lat_p50_ms=float(np.percentile(lat_ms, 50)),
         lat_p95_ms=float(np.percentile(lat_ms, 95)),
         elapsed_s=elapsed,
-        environment=environment if environment is not None else default_environment(),
+        environment=environment if environment is not None else default_environment(model, batch),
     )
     report.validate()
     return report

@@ -82,18 +82,30 @@ def model_config_hash(cfg) -> bytes:
 
 
 def write_tensors(path, tensors: dict):
-    """Serialize named float arrays; values are stored as f32."""
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.asarray(arr, dtype="<f4")
-            name_b = name.encode("utf-8")
-            f.write(struct.pack("<I", len(name_b)))
-            f.write(name_b)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr))
+    """Serialize named float arrays; values are stored as f32.
+
+    The bytes go to a temporary file beside path, closed (so flushed) before
+    it replaces path, so a write that fails partway, or a crashed or killed
+    process, leaves the previous file as it was. There is no fsync, which
+    would add to every training epoch's save, so a power loss is not covered.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", FORMAT_VERSION, len(tensors)))
+            for name, arr in tensors.items():
+                arr = np.asarray(arr, dtype="<f4")
+                name_b = name.encode("utf-8")
+                f.write(struct.pack("<I", len(name_b)))
+                f.write(name_b)
+                f.write(struct.pack("<I", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(np.ascontiguousarray(arr))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.unlink(tmp)
 
 
 def read_tensors(path) -> dict:

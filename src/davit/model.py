@@ -20,6 +20,11 @@ checkpoints store each tensor under that name.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import pickle
+import signal
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -125,6 +130,41 @@ def images_per_chunk(cfg: ModelConfig, itemsize=np.dtype(ad.DEFAULT_DTYPE).items
     """Images per off-tape forward chunk: the most whose widest activation
     stays under MMAP_THRESHOLD_MAX, so freed blocks are reused, not remapped."""
     return max(1, MMAP_THRESHOLD_MAX // max(activation_bytes(cfg, itemsize)))
+
+
+@functools.cache
+def _blas_threads():
+    """OpenBLAS's (get, set) thread-count functions in numpy's BLAS, or None."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
+                 "openblas_%s_num_threads"):
+        get, set_ = (getattr(lib, name % op, None) for op in ("get", "set"))
+        if get and set_:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def offtape_plan(cfg: ModelConfig, batch, itemsize=np.dtype(ad.DEFAULT_DTYPE).itemsize):
+    """(chunks, W) of an off-tape forward of `batch` images: the fewest
+    near-equal chunks of at most images_per_chunk images, run by W processes
+    at one BLAS thread each, so the logits depend on neither W nor the
+    caller's thread count. W is at most the CPUs this process may use and
+    the chunks; it is 0, and the chunks run in the caller at its own thread
+    count, for one chunk or where os.fork or OpenBLAS's thread setter is missing.
+    """
+    chunks = -(-batch // images_per_chunk(cfg, itemsize))
+    if chunks == 1 or not hasattr(os, "fork") or _blas_threads() is None:
+        return chunks, 0
+    return chunks, min(_cpus(), chunks)
 
 
 @dataclass
@@ -273,14 +313,65 @@ def dual_attention_block(x, bp: BlockParams, s: StageConfig):
     return x
 
 
+def _forward_chunks(model, parts, w):
+    """Logits of each part, part i forwarded in process i mod w (see offtape_plan)."""
+    def run(ps):
+        return [forward(model, ad.Tensor(p)).data for p in ps]
+
+    if not w:
+        return run(parts)
+    get, set_ = _blas_threads()
+    threads = get()
+    set_(1)
+    readers = {}  # child pid -> read end of the pipe it answers on
+    try:
+        for i in range(1, w):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # child: send its parts' logits or its error, exit without cleanup
+                try:
+                    try:
+                        out = run(parts[i::w])
+                    except Exception as e:
+                        out = e
+                    with open(wr, "wb") as f:
+                        pickle.dump(out, f)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(wr)
+            readers[pid] = open(r, "rb")
+        out = [None] * len(parts)
+        out[::w] = run(parts[::w])
+        for i, pid in enumerate(list(readers), 1):
+            with readers.pop(pid) as f:
+                data = f.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                raise RuntimeError(f"off-tape forward worker {pid} " + (
+                    f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"))
+            got = pickle.loads(data)
+            if isinstance(got, Exception):
+                raise got
+            out[i::w] = got
+        return out
+    finally:
+        set_(threads)
+        for pid, f in readers.items():  # left only when unwinding
+            f.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def forward(model: Model, images) -> ad.Tensor:
     """Class logits for a batch of images, shape B x num_classes.
 
-    Off a tape a batch of more than images_per_chunk images runs as the
-    fewest near-equal chunks of at most that many, and their logits are
+    Off a tape a batch of more than images_per_chunk images runs in chunks
+    spread over processes as offtape_plan says, and their logits are
     concatenated. Each chunk is its own forward call, so a wrapper of forward
-    sees one pass over the stages per call. On a tape the batch runs whole:
-    the tape keeps every chunk's activations until backward anyway.
+    sees one pass over the stages per chunk the caller runs; a forked child's
+    calls stay in the child. On a tape the batch runs whole: the tape keeps
+    every chunk's activations until backward anyway.
     """
     cfg = model.config
     if not isinstance(images, ad.Tensor) or images.ndim != 4:
@@ -290,10 +381,10 @@ def forward(model: Model, images) -> ad.Tensor:
     if c != cfg.input_channels or h != cfg.input_size or w != cfg.input_size:
         raise ValueError(
             f"expected input {cfg.input_channels}x{cfg.input_size}x{cfg.input_size}, got {c}x{h}x{w}")
-    per = images_per_chunk(cfg, images.dtype.itemsize)
-    if b > per and not ad._TAPE_STACK:
-        parts = np.array_split(images.data, -(-b // per))
-        return ad.Tensor(np.concatenate([forward(model, ad.Tensor(p)).data for p in parts]))
+    chunks, procs = offtape_plan(cfg, b, images.dtype.itemsize)
+    if chunks > 1 and not ad._TAPE_STACK:
+        parts = np.array_split(images.data, chunks)
+        return ad.Tensor(np.concatenate(_forward_chunks(model, parts, procs)))
     x = ad.transpose(images, (0, 2, 3, 1))  # channels last from here to the head
     for sp, s in zip(model.stages, cfg.stages):
         x = patch_embed(x, sp, s)

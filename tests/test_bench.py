@@ -128,6 +128,23 @@ def median_fps(*cfgs, runs=5):
     return [statistics.median(v) for v in vals]
 
 
+@pytest.mark.skipif(md.offtape_plan(md.default_config(), 16)[1] == 0,
+                    reason="no os.fork or no OpenBLAS thread setter")
+def test_environment_names_the_forward_processes(monkeypatch):
+    monkeypatch.setattr(md, "_cpus", lambda: 2)
+    default = md.Model(md.default_config(), [], None)  # images_per_chunk 3
+    assert bench.default_environment(default, 3).endswith(" single-process")
+    assert bench.default_environment(default, 16).endswith(" 2 processes at 1 BLAS thread each")
+    monkeypatch.setattr(md, "_cpus", lambda: 1)
+    assert bench.default_environment(default, 16).endswith(" 1 process at 1 BLAS thread each")
+    assert bench.default_environment(StillModel(), 16).endswith(" single-process")
+    monkeypatch.setattr(md, "_cpus", lambda: 2)
+    model = md.build_model(tiny_config(), seed=0)
+    monkeypatch.setattr(md, "MMAP_THRESHOLD_MAX", max(md.activation_bytes(model.config)))
+    r = bench.measure_fps(model, (2, 3, 16, 16), warmup_iters=0, timed_iters=1)
+    assert r.environment.endswith(" 2 processes at 1 BLAS thread each")
+
+
 def test_wider_model_is_slower():
     # 2x channels means roughly 4x the matmul work per block
     narrow, wide = median_fps(wide_config(16), wide_config(32))

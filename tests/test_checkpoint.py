@@ -151,6 +151,23 @@ def test_model_round_trip_bitwise(tmp_path):
     assert meta.config_hash == ck.model_config_hash(src.config)
 
 
+def test_failed_write_keeps_the_previous_file(tmp_path):
+    src = toy_model(seed=2)
+    randomize(src, 3)
+    path = tmp_path / "m.ckpt"
+    ck.save_checkpoint(src, path)
+    before = path.read_bytes()
+    # the first record is written before the second fails to convert
+    with pytest.raises(TypeError):
+        ck.write_tensors(path, {"w": np.ones((256, 256), dtype=np.float32), "bad": object()})
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+    assert path.read_bytes() == before
+    dst = toy_model(seed=9)
+    ck.load_checkpoint(path, dst)
+    for name, t in src.named_parameters().items():
+        assert t.data.tobytes() == dst.named_parameters()[name].data.tobytes(), name
+
+
 def test_mismatched_config_names_first_offender(tmp_path):
     src = toy_model(seed=4, channels=4)
     path = tmp_path / "m.ckpt"

@@ -1,5 +1,11 @@
 import hashlib
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,7 +134,10 @@ def test_forward_wrong_input_rejected():
 def _record_calls(monkeypatch, fn=None):
     """Route md.forward through a wrapper that appends each call's batch size
     to the list returned, then calls fn (default: the real forward). Returns
-    the list and the real forward; a chunked forward calls md.forward per chunk."""
+    the list and the real forward; a chunked forward calls md.forward per chunk.
+    The forward runs every chunk in this process (W = 1): a forked worker's
+    calls would not reach the list."""
+    monkeypatch.setattr(md, "_cpus", lambda: 1)
     sizes = []
     real = md.forward
     inner = fn or real
@@ -187,6 +196,123 @@ def test_tape_forward_runs_the_whole_batch(monkeypatch):
     sizes, _ = _record_calls(monkeypatch)
     assert step() == unchunked
     assert sizes == [5]
+
+
+# ---------------------------------------------------------------------------
+# off-tape chunk workers
+
+needs_workers = pytest.mark.skipif(not hasattr(os, "fork") or md._blas_threads() is None,
+                                   reason="no os.fork or no OpenBLAS thread setter")
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test whose forward waits on a worker for a minute."""
+    def expire(*_):
+        raise TimeoutError("an off-tape forward waited on its workers for 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _toy_batch(monkeypatch, n, w, seed=3):
+    """A float32 toy model, n images and a forward in chunks of one image
+    dealt over w processes."""
+    cfg = toy_config()
+    _cap_at(monkeypatch, cfg, 1, itemsize=4)
+    monkeypatch.setattr(md, "_cpus", lambda: w)
+    x = np.random.default_rng(seed).uniform(0, 1, (n, 3, 16, 16)).astype(np.float32)
+    return md.build_model(cfg, seed=0), x
+
+
+@needs_workers
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_offtape_logits_do_not_depend_on_worker_count(monkeypatch, deadline, w):
+    m, x = _toy_batch(monkeypatch, 5, w)
+    assert md.offtape_plan(m.config, 5) == (5, w)
+    get, set_ = md._blas_threads()
+    threads = get()
+    set_(1)
+    try:
+        alone = np.concatenate([md.forward(m, ad.Tensor(x[i:i + 1])).data for i in range(5)])
+    finally:
+        set_(threads)
+    assert md.forward(m, ad.Tensor(x)).data.tobytes() == alone.tobytes()
+    assert get() == threads
+    _assert_no_children()
+
+
+def test_offtape_chunks_run_in_the_caller_without_fork(monkeypatch):
+    m, x = _toy_batch(monkeypatch, 3, 1)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert md.offtape_plan(m.config, 3) == (3, 0)
+    sizes, _ = _record_calls(monkeypatch)
+    assert md.forward(m, ad.Tensor(x)).shape == (3, 3)
+    assert sizes == [3, 1, 1, 1]
+
+
+@needs_workers
+def test_batched_logits_do_not_depend_on_blas_threads():
+    """A one-stage default model at 300 px and B=4, two chunks of two: its
+    channel logits are a (32, 5625) @ (5625, 32) GEMM per image, whose bits
+    follow the BLAS thread count unless every chunk runs at one thread."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from davit import autodiff as ad, model as md
+        cfg = md.default_config()
+        cfg.stages = cfg.stages[:1]
+        x = np.random.default_rng(4).uniform(0, 1, (4, 3, 300, 300)).astype(np.float32)
+        sys.stdout.write(md.forward(md.build_model(cfg, seed=0), ad.Tensor(x)).data.tobytes().hex())
+    """)
+    src_dir = Path(md.__file__).resolve().parents[1]
+    logits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src_dir), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        logits.append(done.stdout)
+    assert len(logits[0]) == 4 * 10 * 4 * 2
+    assert logits[0] == logits[1]
+
+
+@needs_workers
+@pytest.mark.parametrize("bad", [0, 1])
+def test_nonfinite_chunk_raises_in_the_caller(monkeypatch, deadline, bad):
+    """Image 0 runs in the caller, image 1 in the forked worker."""
+    m, x = _toy_batch(monkeypatch, 4, 2)
+    x[bad, 0, 5, 5] = np.nan
+    with pytest.raises(ad.NonFiniteError, match="conv2d produced non-finite values"):
+        md.forward(m, ad.Tensor(x))
+    _assert_no_children()
+
+
+@needs_workers
+@pytest.mark.parametrize("die, status", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
+])
+def test_dead_worker_raises_its_exit_status(monkeypatch, deadline, die, status):
+    m, x = _toy_batch(monkeypatch, 4, 2)
+    parent, real = os.getpid(), md.forward
+
+    def dying(model, images):
+        if os.getpid() != parent:
+            die()
+        return real(model, images)
+
+    monkeypatch.setattr(md, "forward", dying)
+    with pytest.raises(RuntimeError, match=f"off-tape forward worker [0-9]+ .*{status}"):
+        md.forward(m, ad.Tensor(x))
+    _assert_no_children()
 
 
 def test_count_params_formula_matches_construction():
