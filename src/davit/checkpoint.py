@@ -84,10 +84,12 @@ def model_config_hash(cfg) -> bytes:
 def write_tensors(path, tensors: dict):
     """Serialize named float arrays; values are stored as f32.
 
-    The bytes go to a temporary file beside path, closed (so flushed) before
-    it replaces path, so a write that fails partway, or a crashed or killed
-    process, leaves the previous file as it was. There is no fsync, which
-    would add to every training epoch's save, so a power loss is not covered.
+    The bytes go to a temporary file beside path, which is flushed and
+    fsync'd before it replaces path. So a write that fails partway, or a
+    crashed or killed process, leaves the previous file as it was, and after
+    a power loss path holds either the previous file or the new one, never
+    unwritten blocks. The directory is not fsync'd, so a rename made just
+    before a power loss may be lost, leaving the previous file.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
@@ -102,6 +104,8 @@ def write_tensors(path, tensors: dict):
                 f.write(struct.pack("<I", arr.ndim))
                 f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
                 f.write(np.ascontiguousarray(arr))
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write failed

@@ -3,8 +3,10 @@
 A dataset is described by a UTF-8 manifest CSV with a header row of
 `relative_path,label_name` plus optional `tag` and `weight` columns.
 Paths are resolved relative to the manifest's directory. Images are
-binary P6 portable pixmaps with maxval up to 255, decoded to 3 x S x S
-tensors scaled into [0, 1].
+binary P6 portable pixmaps with maxval up to 255. A loaded image stays
+as its file's bytes (a PixelImage, one byte per value), and becomes a
+3 x S x S float32 array scaled into [0, 1] only when it is read, so a
+dataset holds a quarter of the memory its float pixels would take.
 """
 
 from __future__ import annotations
@@ -19,9 +21,37 @@ import numpy as np
 from davit import autodiff as ad
 
 
+class PixelImage:
+    """A decoded P6 image kept as bytes: its (H, W, 3) uint8 pixels and maxval.
+
+    Reads like an image Tensor: shape is (3, H, W), and data converts
+    the pixels to a fresh float32 array in [0, 1] on every read.
+    """
+
+    __slots__ = ("pixels", "maxval")
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, pixels, maxval):
+        self.pixels = pixels
+        self.maxval = maxval
+
+    @property
+    def shape(self):
+        h, w, c = self.pixels.shape
+        return (c, h, w)
+
+    @property
+    def data(self):
+        return self.pixels.transpose(2, 0, 1).astype(np.float32) / self.maxval
+
+    def fill(self, out):
+        """Write data into out, a (3, H, W) float32 array, bitwise equal to data."""
+        np.divide(self.pixels.transpose(2, 0, 1), self.maxval, out=out, dtype=np.float32)
+
+
 @dataclass
 class Sample:
-    image: ad.Tensor  # 3 x S x S, values in [0, 1]
+    image: ad.Tensor | PixelImage  # 3 x S x S; image.data is in [0, 1]
     label: np.ndarray  # length num_classes, entries >= 0 summing to 1
     weight: float = 1.0
     tag: str | None = None
@@ -45,8 +75,8 @@ def one_hot(index, num_classes):
     return v
 
 
-def read_ppm(path):
-    """Decode a binary P6 pixmap to a (3, H, W) float array in [0, 1]."""
+def read_pixels(path) -> PixelImage:
+    """Decode a binary P6 pixmap to a PixelImage viewing the file's bytes."""
     data = Path(path).read_bytes()
     tokens = []
     i = 0
@@ -78,11 +108,18 @@ def read_ppm(path):
     if not 1 <= maxval <= 255:
         raise ValueError(f"{path}: unsupported maxval {maxval} (wide pixels not supported)")
     need = width * height * 3
-    raw = data[i : i + need]
-    if len(raw) < need:
-        raise ValueError(f"{path}: truncated pixel data ({len(raw)} of {need} bytes)")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
-    return pixels.transpose(2, 0, 1).astype(np.float32) / maxval
+    if len(data) - i < need:
+        raise ValueError(f"{path}: truncated pixel data ({max(len(data) - i, 0)} of {need} bytes)")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=i).reshape(height, width, 3)
+    top = int(pixels.max())
+    if top > maxval:
+        raise ValueError(f"{path}: pixel value {top} exceeds maxval {maxval}")
+    return PixelImage(pixels, maxval)
+
+
+def read_ppm(path):
+    """Decode a binary P6 pixmap to a (3, H, W) float32 array in [0, 1]."""
+    return read_pixels(path).data
 
 
 def write_ppm(path, image):
@@ -138,7 +175,7 @@ def load_dataset(manifest_path, class_names=None) -> Dataset:
         path = root / row["relative_path"]
         if not path.is_file():
             raise row_error(idx, f"image file missing: {path}")
-        image = read_ppm(path)
+        image = read_pixels(path)
         if samples and image.shape != samples[0].image.shape:
             raise row_error(idx, f"image {path} has shape {image.shape}, "
                                  f"the first row's has {samples[0].image.shape}")
@@ -151,7 +188,7 @@ def load_dataset(manifest_path, class_names=None) -> Dataset:
             if not 0 < weight < math.inf:
                 raise row_error(idx, f"weight must be finite and > 0, got {weight}")
         samples.append(Sample(
-            image=ad.Tensor(image),
+            image=image,
             label=one_hot(index[label_name], len(class_names)),
             weight=weight,
             tag=row.get("tag") or None,

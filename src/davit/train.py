@@ -17,7 +17,7 @@ import numpy as np
 from davit import autodiff as ad
 from davit import model as md
 from davit.augment import apply_policy, mixup, sample_lambda, weighted_sampler
-from davit.dataset import Dataset
+from davit.dataset import Dataset, PixelImage
 
 
 @dataclass
@@ -209,7 +209,12 @@ def train_epoch(model: md.Model, train: Dataset, cfg: TrainConfig, epoch, state,
 
 def evaluate(model: md.Model, val: Dataset, threshold, batch_size=16) -> EvalReport:
     """Thresholded argmax accuracy; below-threshold predictions count as
-    incorrect and are tallied in rejected_count."""
+    incorrect and are tallied in rejected_count.
+
+    Each batch is written into one float buffer allocated per call, so at
+    most one batch of float images is held at a time; a PixelImage is
+    converted straight into its slot.
+    """
     if not val.samples:
         raise ValueError("validation set is empty")
     if not 0 <= threshold < 1:
@@ -220,10 +225,20 @@ def evaluate(model: md.Model, val: Dataset, threshold, batch_size=16) -> EvalRep
     confusion = np.zeros((k, k), dtype=np.int64)
     class_correct = np.zeros(k, dtype=np.int64)
     rejected = 0
+    shape = val.samples[0].image.shape
+    buf = np.empty((min(batch_size, len(val.samples)), *shape),
+                   np.result_type(*{s.image.dtype for s in val.samples}))
     for start in range(0, len(val.samples), batch_size):
         batch = val.samples[start : start + batch_size]
-        images = ad.Tensor(np.stack([s.image.data for s in batch]))
-        logits = md.forward(model, images)  # no tape: inference mode
+        images = buf[: len(batch)]
+        for i, (s, slot) in enumerate(zip(batch, images), start):
+            if s.image.shape != shape:
+                raise ValueError(f"sample {i} has image shape {s.image.shape}, sample 0 has {shape}")
+            if isinstance(s.image, PixelImage):
+                s.image.fill(slot)
+            else:
+                slot[...] = s.image.data
+        logits = md.forward(model, ad.Tensor(images))  # no tape: inference mode
         probs = ad.softmax(logits, axis=-1).data
         preds = probs.argmax(axis=1)
         maxp = probs.max(axis=1)

@@ -6,7 +6,7 @@ from scipy import stats
 
 from davit import autodiff as ad
 from davit import augment as ag
-from davit.dataset import Dataset, Sample, one_hot
+from davit.dataset import Dataset, PixelImage, Sample, one_hot
 
 
 def make_sample(seed=0, size=8, num_classes=4, klass=1, weight=1.0, tag=None):
@@ -201,6 +201,24 @@ def test_mixup_weight_blend_and_validation():
     small = make_sample(32, size=4)
     with pytest.raises(ValueError):
         ag.mixup(a, small, 0.5)
+
+
+def test_byte_images_augment_and_mix_like_their_float_twins():
+    rng = np.random.default_rng(35)
+    byte_samples, float_samples = [], []
+    for k, maxval in enumerate((255, 100)):
+        image = PixelImage(rng.integers(0, maxval + 1, size=(9, 9, 3), dtype=np.uint8), maxval)
+        byte_samples.append(Sample(image, one_hot(k, 4)))
+        float_samples.append(Sample(ad.Tensor(image.data), one_hot(k, 4)))
+    policy = [("hflip", 1.0, 0.0), ("exposure", 1.0, 1.5), ("scale_crop", 1.0, 0.5)]
+    pairs = [(ag.apply_policy(byte_samples[1], policy, seed=36),
+              ag.apply_policy(float_samples[1], policy, seed=36))]
+    pairs += [(ag.mixup(*byte_samples, lam), ag.mixup(*float_samples, lam))
+              for lam in (0.0, 0.3, 1.0)]
+    for got, want in pairs:
+        got, want = got.image.data, want.image.data
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert 0.0 <= got.min() and got.max() <= 1.0
 
 
 def test_sample_lambda_alpha_zero_degenerate():

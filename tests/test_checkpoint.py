@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 import tracemalloc
@@ -160,6 +161,49 @@ def test_failed_write_keeps_the_previous_file(tmp_path):
     # the first record is written before the second fails to convert
     with pytest.raises(TypeError):
         ck.write_tensors(path, {"w": np.ones((256, 256), dtype=np.float32), "bad": object()})
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+    assert path.read_bytes() == before
+    dst = toy_model(seed=9)
+    ck.load_checkpoint(path, dst)
+    for name, t in src.named_parameters().items():
+        assert t.data.tobytes() == dst.named_parameters()[name].data.tobytes(), name
+
+
+def test_write_fsyncs_the_temp_file_before_the_replace(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    tmp = tmp_path / "m.ckpt.tmp"
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        real_fsync(fd)
+        events.append(("fsync", os.fstat(fd).st_ino == os.stat(tmp).st_ino,
+                       os.fstat(fd).st_size, path.exists()))
+
+    def replace(src, dst):
+        events.append(("replace", os.fspath(src), os.fspath(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    ck.write_tensors(path, {"w": np.ones((64, 64), dtype=np.float32)})
+    assert events == [("fsync", True, path.stat().st_size, False),
+                      ("replace", os.fspath(tmp), os.fspath(path))]
+
+
+def test_failed_fsync_keeps_the_previous_file(tmp_path, monkeypatch):
+    src = toy_model(seed=2)
+    randomize(src, 4)
+    path = tmp_path / "m.ckpt"
+    ck.save_checkpoint(src, path)
+    before = path.read_bytes()
+
+    def fsync(fd):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(OSError, match="Input/output error"):
+        ck.save_checkpoint(toy_model(seed=3), path)
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
     assert path.read_bytes() == before
     dst = toy_model(seed=9)

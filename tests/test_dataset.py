@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,54 @@ def test_ppm_truncated(tmp_path):
     path.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
     with pytest.raises(ValueError, match="truncated"):
         ds.read_ppm(path)
+
+
+def test_ppm_byte_above_maxval_names_the_file(tmp_path):
+    path = tmp_path / "hot.ppm"
+    path.write_bytes(b"P6\n2 1\n100\n" + bytes([100, 0, 0, 0, 200, 0]))
+    with pytest.raises(ValueError, match=r"hot\.ppm: pixel value 200 exceeds maxval 100"):
+        ds.read_ppm(path)
+
+
+@pytest.mark.parametrize("maxval", [255, 100])
+def test_pixel_image_converts_bitwise_like_the_float_decode(tmp_path, maxval):
+    rng = np.random.default_rng(maxval)
+    pixels = rng.integers(0, maxval + 1, size=(5, 7, 3), dtype=np.uint8)
+    pixels[0, 0] = [0, maxval, maxval]
+    path = tmp_path / "a.ppm"
+    path.write_bytes(f"P6\n7 5\n{maxval}\n".encode() + pixels.tobytes())
+    # the float decode that load_dataset kept for every image before it kept bytes
+    want = pixels.transpose(2, 0, 1).astype(np.float32) / maxval
+    image = ds.read_pixels(path)
+    assert image.pixels.dtype == np.uint8 and image.pixels.shape == (5, 7, 3)
+    assert image.shape == (3, 5, 7)
+    slot = np.full((3, 5, 7), np.nan, dtype=np.float32)
+    image.fill(slot)
+    for got in (image.data, slot, ds.read_ppm(path)):
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert 0.0 <= got.min() and got.max() == 1.0
+    assert image.data.strides == want.strides  # the same memory layout as before
+
+
+def test_load_holds_about_the_pixel_bytes(tmp_path):
+    n, size = 16, 300
+    rng = np.random.default_rng(0)
+    rows = []
+    for k in range(n):
+        pixels = rng.integers(0, 256, size=(size, size, 3), dtype=np.uint8).tobytes()
+        (tmp_path / f"{k}.ppm").write_bytes(f"P6\n{size} {size}\n255\n".encode() + pixels)
+        rows.append(f"{k}.ppm,c{k % 2}")
+    manifest = write_manifest(tmp_path, rows)
+    tracemalloc.start()
+    try:
+        data = ds.load_dataset(manifest)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    raw = n * size * size * 3
+    assert len(data) == n and all(isinstance(s.image, ds.PixelImage) for s in data.samples)
+    assert held <= 1.1 * raw, f"load_dataset holds {held} bytes for {raw} pixel bytes"
 
 
 # ---------------------------------------------------------------------------

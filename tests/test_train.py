@@ -7,6 +7,7 @@ import pytest
 
 import davit
 from davit import autodiff as ad
+from davit import dataset as ds
 from davit import model as md
 from davit import train as tr
 from davit.augment import mixup, parse_policy, sample_lambda, weighted_sampler
@@ -431,6 +432,81 @@ def test_evaluate_validation():
     for batch_size in (0, -1):
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             tr.evaluate(model, data, 0.5, batch_size)
+    data.samples[3] = Sample(ad.zeros((3, 8, 8)), data.samples[3].label)
+    with pytest.raises(ValueError, match=r"sample 3 has image shape \(3, 8, 8\)"):
+        tr.evaluate(model, data, 0.5, batch_size=2)
+
+
+def ppm_twins(tmp_path, data):
+    """data written as P6 files and loaded as bytes, and the same images as float Tensors."""
+    rows = []
+    for k, s in enumerate(data.samples):
+        ds.write_ppm(tmp_path / f"{k}.ppm", s.image.data)
+        rows.append(f"{k}.ppm,{data.class_names[int(s.label.argmax())]}")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("relative_path,label_name\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    loaded = ds.load_dataset(manifest, data.class_names)
+    assert all(isinstance(s.image, ds.PixelImage) for s in loaded.samples)
+    floats = [Sample(ad.Tensor(s.image.data), s.label.copy(), s.weight, s.tag)
+              for s in loaded.samples]
+    return loaded, Dataset(floats, data.class_names)
+
+
+def recording_forward(monkeypatch):
+    """Patch md.forward to record every (input, logits) pair it sees."""
+    seen = []
+    real = md.forward
+
+    def forward(model, images):
+        logits = real(model, images)
+        seen.append((images.data.copy(), logits.data.copy()))
+        return logits
+
+    monkeypatch.setattr(md, "forward", forward)
+    return seen
+
+
+def test_evaluate_byte_images_equal_float_images_bitwise(tmp_path, monkeypatch):
+    model, data = toy_model_and_data(model_seed=5, n=12)
+    loaded, floats = ppm_twins(tmp_path, data)
+    seen = recording_forward(monkeypatch)
+    byte_report = tr.evaluate(model, loaded, 0.5, batch_size=5)
+    byte_calls = seen[:]
+    float_report = tr.evaluate(model, floats, 0.5, batch_size=5)
+    float_calls = seen[len(byte_calls):]
+    assert byte_report.to_dict() == float_report.to_dict()
+    assert [x.shape[0] for x, _ in byte_calls] == [5, 5, 2]
+    for (xb, lb), (xf, lf) in zip(byte_calls, float_calls, strict=True):
+        assert xb.dtype == np.float32 and xb.tobytes() == xf.tobytes()
+        assert lb.tobytes() == lf.tobytes()
+        assert 0.0 <= xb.min() and xb.max() <= 1.0
+
+
+@pytest.mark.parametrize("with_policy", [False, True])
+def test_training_from_byte_images_equals_float_images_bitwise(tmp_path, monkeypatch,
+                                                               with_policy):
+    policy = (parse_policy(Path(davit.__file__).parent / "policies" / "default.policy")
+              if with_policy else None)
+    _, data = toy_model_and_data(n=7)
+    loaded, floats = ppm_twins(tmp_path, data)
+    cfg = tr.TrainConfig(base_lr=1e-2, warmup_epochs=0, total_epochs=2, batch_size=3,
+                         mixup_alpha=0.2, seed=3)  # odd batch: its last sample is unmixed
+    seen = recording_forward(monkeypatch)
+    runs = []
+    for d in (loaded, floats):
+        model, _ = toy_model_and_data(n=0)
+        state = tr.OptimizerState()
+        results = [tr.train_epoch(model, d, cfg, e, state, policy=policy) for e in range(2)]
+        runs.append((model, results))
+    (mb, rb), (mf, rf) = runs
+    assert rb == rf
+    for name, p in mb.named_parameters().items():
+        assert p.data.tobytes() == mf.named_parameters()[name].data.tobytes(), name
+    half = len(seen) // 2
+    assert half == 2 * 3 * 3  # two epochs of three steps of three per-sample passes
+    for (xb, _), (xf, _) in zip(seen[:half], seen[half:], strict=True):
+        assert xb.dtype == np.float32 and xb.tobytes() == xf.tobytes()
+        assert 0.0 <= xb.min() and xb.max() <= 1.0
 
 
 def test_train_config_validation():
