@@ -18,6 +18,14 @@ so the caller's last reference to an activation frees it even while the
 tape lives. Gradients therefore land on leaves only; a recorded output's
 own .grad stays None.
 
+A tensor's first gradient is kept as is when it is C-contiguous, so one
+array can be the .grad of several tensors; later ones are summed out of
+place. The exception is an array that linear, conv2d, layer_norm or
+diagonal_blocks has just allocated for a weight or bias and references
+nowhere else: the tensor owns it, and later gradients are added into it
+in place, bitwise the out-of-place sum. Ownership follows the array, so a
+.grad the caller assigns is never written.
+
 Ops are module functions (add, matmul, linear, reshape, unstack, tensor_sum,
 ...) on Tensors; the only operator Tensor defines is indexing, which is the
 slice op and takes basic indices only: ints, slices, None and Ellipsis.
@@ -35,6 +43,7 @@ float64 tensors instead; operations preserve the dtype of their inputs.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -136,7 +145,7 @@ class Tensor:
     default float dtype, float32/float64 input keeps its precision.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape", "_slot")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_slot", "_owned")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -151,6 +160,7 @@ class Tensor:
         self.grad = None
         self._tape = None
         self._slot = None  # the gradient slot, on a recorded op's output
+        self._owned = None  # weakref to the .grad array backward may add into in place
 
     @property
     def shape(self):
@@ -195,17 +205,23 @@ class Tensor:
         return _make("slice", out_data, (self,), run)
 
 
-def _accum(t, g):
+def _accum(t, g, fresh=False):
+    """Add g onto t.grad; fresh says the caller just allocated g and keeps no other reference."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # A C-contiguous g of the right dtype is kept as is, so one array can
-        # be the .grad of several tensors (add hands g to both inputs). This
-        # relies on nothing writing a .grad in place. Other layouts are copied.
+        # A C-contiguous g of the right dtype is kept as is (add hands one g to
+        # both inputs); other layouts are copied. Only a fresh g is owned: an
+        # in-place add keeps the first array's layout, and a slot's backward
+        # GEMMs and sums read its gradient in layout order. Fresh gradients are
+        # C-contiguous, as the out-of-place sums onto them are, so no bit moves.
         if g.dtype == t.data.dtype and g.flags.c_contiguous:
             t.grad = g
+            t._owned = weakref.ref(g) if fresh else None
         else:
             t.grad = g.astype(t.data.dtype, copy=True)
+    elif t._owned is not None and t._owned() is t.grad and g.dtype == t.grad.dtype:
+        np.add(t.grad, g, out=t.grad)
     else:
         t.grad = t.grad + g
 
@@ -238,7 +254,8 @@ def backward(loss):
     slot's gradient to its inputs' slots. Only leaves keep a .grad: recorded
     outputs, the loss included, keep None. Gradients add across multiple
     uses of a tensor within the graph and across successive backward calls
-    on leaf tensors (clear .grad between optimizer steps).
+    on leaf tensors (clear .grad between optimizer steps). A later backward
+    may update a leaf's .grad array in place, so copy it to keep it.
     """
     tape = loss._tape
     if tape is None:
@@ -408,7 +425,7 @@ def diagonal_blocks(w, ng):
     def run(g):
         buf = np.zeros_like(data)
         buf.reshape(ng, cg, k, ng, cg)[d, :, :, d, :] = g.reshape(ng, cg, k, cg)
-        _accum(w, buf)
+        _accum(w, buf, fresh=True)
 
     return _make("slice", out_data, (w,), run)
 
@@ -507,8 +524,8 @@ def linear(x, w, b):
 
     def run(g):
         g2 = g.reshape(lead + (-1, n))
-        _accum(w, np.swapaxes(x2, -1, -2) @ g2)
-        _accum(b, g2.sum(axis=-2))
+        _accum(w, np.swapaxes(x2, -1, -2) @ g2, fresh=True)
+        _accum(b, g2.sum(axis=-2), fresh=True)
         _accum(x, (g2 @ np.swapaxes(w_data, -1, -2)).reshape(x.shape))
 
     return _make("linear", out_data.reshape(x.shape[:-1] + (n,)), (x, w, b), run)
@@ -677,8 +694,8 @@ def layer_norm(t, gamma, beta, eps=1e-5):
 
     def run(g):
         dxhat, prod = g * gamma_data, g * xhat
-        _accum(gamma, prod.reshape(-1, n).sum(axis=0))
-        _accum(beta, g.reshape(-1, n).sum(axis=0))
+        _accum(gamma, prod.reshape(-1, n).sum(axis=0), fresh=True)
+        _accum(beta, g.reshape(-1, n).sum(axis=0), fresh=True)
         # dx = (inv / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
         # each step in the order of that expression, in dxhat and prod
         np.multiply(dxhat, xhat, out=prod)
@@ -744,8 +761,8 @@ def conv2d(x, w, b, stride=1, pad=0):
 
     def run(g):
         gmat = g.reshape(-1, cout)
-        _accum(w, (gmat.T @ cols).reshape(w.shape))
-        _accum(b, g.sum(axis=0).reshape(-1, cout).sum(axis=0))  # batch, then pixels, as a broadcast add sums
+        _accum(w, (gmat.T @ cols).reshape(w.shape), fresh=True)
+        _accum(b, g.sum(axis=0).reshape(-1, cout).sum(axis=0), fresh=True)  # batch, then pixels, as a broadcast add sums
         if x.requires_grad:  # col2im: each window's rows of gmat @ wmat add back onto its pixels
             dcols = (gmat @ wmat).reshape(n, oh, ow, cin, k, k)
             dxp = np.zeros((n, hp, wp, cin), dtype=dcols.dtype)

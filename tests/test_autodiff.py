@@ -663,6 +663,61 @@ def test_backward_shared_gradient_is_not_written_in_place():
     assert (b.grad == 1.0).all()
 
 
+def linear_loss(x, w, b):
+    with ad.Tape():
+        return ad.tensor_sum(ad.linear(x, w, b))
+
+
+def test_backward_adds_into_owned_weight_gradient_in_place():
+    # linear hands over a fresh dW, so the weight owns its .grad and a second
+    # backward adds its dW in place instead of also allocating the sum
+    rng = np.random.default_rng(51)
+    x = ad.Tensor(rng.normal(size=(4, 1024)).astype(np.float32))
+    w = ad.Tensor(rng.normal(size=(1024, 1024)).astype(np.float32), requires_grad=True)
+    b = ad.Tensor(np.zeros(1024, np.float32), requires_grad=True)
+    first = traced_peak(ad.backward, linear_loss(x, w, b))
+    owned, dw = w.grad, w.grad.copy()
+    second = traced_peak(ad.backward, linear_loss(x, w, b))
+    assert second <= first + x.data.nbytes
+    assert w.grad is owned and w.grad.tobytes() == (dw + dw).tobytes()
+
+
+def test_backward_never_writes_a_caller_assigned_gradient():
+    rng = np.random.default_rng(52)
+    x = ad.Tensor(rng.normal(size=(3, 8)))
+    w = ad.Tensor(rng.normal(size=(8, 5)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=5), requires_grad=True)
+    ad.backward(linear_loss(x, w, b))
+    dw, db = w.grad.copy(), b.grad.copy()
+    earlier = w.grad  # still alive, so w's earlier backward left it owning this array
+    mine = {w: rng.normal(size=(8, 5)), b: rng.normal(size=5)}
+    kept = {t: g.copy() for t, g in mine.items()}
+    w.grad, b.grad = mine[w], mine[b]
+    ad.backward(linear_loss(x, w, b))
+    assert earlier.tobytes() == dw.tobytes()
+    for t, g in ((w, dw), (b, db)):
+        assert mine[t].tobytes() == kept[t].tobytes()
+        assert t.grad.tobytes() == (kept[t] + g).tobytes()
+    # releasing .grad frees the array the tensor owned
+    w.grad = None
+    ad.backward(linear_loss(x, w, b))
+    owned = weakref.ref(w.grad)
+    w.grad = None
+    assert owned() is None
+
+
+def test_backward_wider_gradient_onto_owned_one_promotes():
+    # a float64 gradient onto an owned float32 one is summed out of place,
+    # as t.grad + g promotes it, not rounded into the float32 array
+    w = ad.Tensor(np.ones((2, 2), np.float32), requires_grad=True)
+    b = ad.Tensor(np.zeros(2, np.float32), requires_grad=True)
+    ad.backward(linear_loss(ad.Tensor(np.full((1, 2), 0.1, np.float32)), w, b))
+    owned = w.grad.copy()
+    with ad.Tape():
+        ad.backward(ad.tensor_sum(ad.add(w, ad.Tensor(np.zeros((2, 2))))))
+    assert w.grad.tobytes() == (owned + np.ones((2, 2))).tobytes()
+
+
 def test_backward_detached_rejected():
     x = ad.Tensor(np.array([1.0]), requires_grad=True)
     out = ad.scale(x, 2.0)  # no tape active

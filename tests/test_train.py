@@ -307,11 +307,11 @@ def batched_step(model, data, cfg):
     return loss.item()
 
 
-@pytest.mark.parametrize("b", [1, 3])
-def test_per_sample_step_equals_batched_step(b, monkeypatch):
-    # one step of b samples, mixup on; at b=3 the last sample stays unmixed.
-    # train_epoch releases the gradients after AdamW, so each step's
-    # gradients are compared as adamw_step receives them.
+def record_step_gradients(monkeypatch):
+    """The list of each step's gradients as adamw_step receives them.
+
+    train_epoch releases the gradients after AdamW, so they are compared here.
+    """
     seen = []
     adamw_step = tr.adamw_step
 
@@ -320,6 +320,13 @@ def test_per_sample_step_equals_batched_step(b, monkeypatch):
         return adamw_step(params, *args)
 
     monkeypatch.setattr(tr, "adamw_step", recording_step)
+    return seen
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_per_sample_step_equals_batched_step(b, monkeypatch):
+    # one step of b samples, mixup on; at b=3 the last sample stays unmixed
+    seen = record_step_gradients(monkeypatch)
     model, data = toy_model_and_data(n=b, num_classes=3, dtype=np.float64)
     ref, _ = toy_model_and_data(n=b, num_classes=3, dtype=np.float64)
     cfg = tr.TrainConfig(base_lr=1e-2, warmup_epochs=0, batch_size=b, mixup_alpha=0.2, seed=4)
@@ -337,6 +344,33 @@ def test_per_sample_step_equals_batched_step(b, monkeypatch):
         for got, want in ((p.data, theirs[name].data), (grads[name], ref_grads[name])):
             err = np.abs(got - want).max() / np.abs(want).max()
             assert err <= 1e-12, f"{name}: rel err {err:.3e}"
+
+
+def accum_out_of_place(t, g, fresh=False):
+    # the reference accumulation: keep (or copy) the first gradient, sum the rest
+    if t.requires_grad:
+        if t.grad is None:
+            t.grad = g if g.dtype == t.data.dtype and g.flags.c_contiguous else g.astype(t.data.dtype)
+        else:
+            t.grad = t.grad + g
+
+
+def test_step_gradients_equal_out_of_place_sums_bitwise(monkeypatch):
+    # Adding into owned gradients in place must keep every bit of summing each
+    # sample's gradients out of place, in sample order.
+    seen = record_step_gradients(monkeypatch)
+    cfg = tr.TrainConfig(base_lr=1e-2, warmup_epochs=0, batch_size=3, mixup_alpha=0.2, seed=4)
+    # a 4x4 last stage under a 7x7 window: here an in-place sum into a
+    # gradient slot's copy keeps a layout that moves later GEMMs' bits
+    stages = [md.StageConfig(7, 4, 3, 8, 1, 7, 4), md.StageConfig(2, 2, 0, 16, 1, 7, 4)]
+    toy = dict(n=3, num_classes=3, stages=stages, size=32)
+    tr.train_epoch(*toy_model_and_data(**toy), cfg, 0, tr.OptimizerState())
+    monkeypatch.setattr(ad, "_accum", accum_out_of_place)
+    tr.train_epoch(*toy_model_and_data(**toy), cfg, 0, tr.OptimizerState())
+    got, want = seen
+    assert got.keys() == want.keys()
+    for name, g in got.items():
+        assert g.tobytes() == want[name].tobytes(), name
 
 
 def test_train_epoch_releases_gradients():
