@@ -12,12 +12,12 @@ map and a C -> C output projection, each applied as one `ad.linear`. In
 the channel kernel the q/k/v and projection maps use only the diagonal
 blocks of those weights, one Cg x Cg block per group (a channel only
 mixes with channels of its own group), and the matching Cg-wide slices
-of the biases: each map is one grouped `ad.linear`, which adds the
-group's bias inside its GEMM. This keeps groups fully independent: a
-perturbation inside one group leaves every other group's output bitwise
-unchanged, and the off-diagonal entries get zero gradient. With a single
-group the one diagonal block is the whole weight and the kernel reduces
-to the dense map.
+of the biases: each map is one `ad.linear` with groups=Ng, which gathers
+the blocks and adds the group's bias inside its GEMM. This keeps groups
+fully independent: a perturbation inside one group leaves every other
+group's output bitwise unchanged, and the off-diagonal entries get zero
+gradient. With a single group the one diagonal block is the whole weight
+and the kernel reduces to the dense map.
 """
 
 from __future__ import annotations
@@ -122,14 +122,12 @@ def channel_group_attention(x, p, return_weights=False):
     n = h * wd
 
     groups = ad.transpose(ad.reshape(x, (b * n, ng, cg)), (1, 0, 2))  # (Ng, B*N, Cg)
-    qkv_bias = ad.reshape(ad.transpose(ad.reshape(p.qkv_bias, (3, ng, cg)), (1, 0, 2)), (ng, 3 * cg))
-    qkv = ad.linear(groups, ad.diagonal_blocks(p.qkv_weight, ng), qkv_bias)  # (Ng, B*N, 3Cg)
+    qkv = ad.linear(groups, p.qkv_weight, p.qkv_bias, groups=ng)  # (Ng, B*N, 3Cg)
     qkv = ad.transpose(ad.reshape(qkv, (ng, b, n, 3, cg)), (3, 1, 0, 4, 2))  # (3, B, Ng, Cg, N)
     out, attn = _attend(ad.reshape(qkv, (3, b * ng, cg, n)), 1.0 / np.sqrt(cg))
 
     out = ad.transpose(ad.reshape(out, (b, ng, cg, n)), (1, 0, 3, 2))
-    out = ad.linear(ad.reshape(out, (ng, b * n, cg)), ad.diagonal_blocks(p.proj_weight, ng),
-                    ad.reshape(p.proj_bias, (ng, cg)))
+    out = ad.linear(ad.reshape(out, (ng, b * n, cg)), p.proj_weight, p.proj_bias, groups=ng)
     out = ad.reshape(ad.transpose(ad.reshape(out, (ng, b, h, wd, cg)), (1, 2, 3, 0, 4)), (b, h, wd, c))
     if return_weights:
         return out, attn.data

@@ -20,11 +20,11 @@ own .grad stays None.
 
 A tensor's first gradient is kept as is when it is C-contiguous, so one
 array can be the .grad of several tensors; later ones are summed out of
-place. The exception is an array that linear, conv2d, layer_norm or
-diagonal_blocks has just allocated for a weight or bias and references
-nowhere else: the tensor owns it, and later gradients are added into it
-in place, bitwise the out-of-place sum. Ownership follows the array, so a
-.grad the caller assigns is never written.
+place. The exception is an array that linear, conv2d or layer_norm has
+just allocated for a weight or bias and references nowhere else, as
+every parameter gradient is: the tensor owns it, and later gradients are
+added into it in place, bitwise the out-of-place sum. Ownership follows
+the array, so a .grad the caller assigns is never written.
 
 Ops are module functions (add, matmul, linear, reshape, unstack, tensor_sum,
 ...) on Tensors; the only operator Tensor defines is indexing, which is the
@@ -407,29 +407,6 @@ def pad(t, pad_width):
     return _make("pad", out_data, (t,), run)
 
 
-def diagonal_blocks(w, ng):
-    """The (Ng, Cg, k*Cg) diagonal blocks of a (C, k*C) weight, one per group.
-
-    The columns of w are k parts of C channels each (q, k and v for the
-    qkv map); block g holds the rows of group g and, in every part, the
-    columns of group g, so the result is a grouped weight for linear. The
-    blocks never overlap, so backward assigns.
-    """
-    c, kc = w.shape
-    cg, k = c // ng, kc // c
-    d = np.arange(ng)
-    data = w.data  # kept: the gradient buffer takes its memory layout
-    out_data = data.reshape(ng, cg, k, ng, cg)[d, :, :, d, :].reshape(ng, cg, k * cg)
-    (w,) = _held(w)
-
-    def run(g):
-        buf = np.zeros_like(data)
-        buf.reshape(ng, cg, k, ng, cg)[d, :, :, d, :] = g.reshape(ng, cg, k, cg)
-        _accum(w, buf, fresh=True)
-
-    return _make("slice", out_data, (w,), run)
-
-
 def unstack(t):
     """(t[0], t[1], ...) as views, with one gradient buffer for t; nodes are slices.
 
@@ -507,28 +484,48 @@ def matmul(a, b):
     return _make("matmul", a_data @ b_data, (a, b), run)
 
 
-def linear(x, w, b):
+def linear(x, w, b, groups=1):
     """x @ w + b as one GEMM per group, the bias added in place.
 
-    w is (*G, K, N) and b is (*G, N), where G are leading group axes (none
-    for a dense map); x is (*G, ..., K), and its axes between G and K are
-    folded into the rows of one (rows, K) @ (K, N) product per group.
+    w is (K, N) and b is (N,). With groups=1, x is (..., K) and all its
+    leading axes fold into the rows of one (rows, K) @ (K, N) product.
+    With groups=G > 1, x is (G, ..., K/G) and only w's diagonal blocks map
+    it: w's columns are N/K parts of K each (q, k and v for the qkv map),
+    and group g's block holds w's rows of group g and, in every part, its
+    columns of group g. One advanced index copies only the blocks, and b is
+    reordered group-major to match, so the (G, ..., N/G) result holds each
+    group's parts in order. Backward scatters dW into a zero (K, N) array,
+    so weight entries that cross groups get zero gradient.
     """
-    lead, (k, n) = w.shape[:-2], w.shape[-2:]
-    if x.shape[:len(lead)] != lead or x.shape[-1] != k or b.shape != lead + (n,):
-        raise ValueError(f"linear needs x {lead} + (..., {k}) and b {lead + (n,)}, got {x.shape} and {b.shape}")
-    x2, w_data = x.data.reshape(lead + (-1, k)), w.data
+    k, n = w.shape
+    if groups < 1 or k % groups or (groups > 1 and n % k):
+        raise ValueError(f"linear cannot split a {w.shape} weight into {groups} groups")
+    kg, ng = k // groups, n // groups
+    lead = (groups,) if groups > 1 else ()
+    if x.shape[:len(lead)] != lead or x.shape[-1] != kg or b.shape != (n,):
+        raise ValueError(f"linear needs x {lead} + (..., {kg}) and b ({n},), got {x.shape} and {b.shape}")
+    x2 = x.data.reshape(lead + (-1, kg))
+    w_data, b_data = w.data, b.data
+    if groups > 1:
+        parts, d = n // k, np.arange(groups)
+        w_data = w_data.reshape(groups, kg, parts, groups, kg)[d, :, :, d, :].reshape(groups, kg, ng)
+        b_data = b_data.reshape(parts, groups, kg).transpose(1, 0, 2).reshape(groups, 1, ng)
     out_data = x2 @ w_data
-    out_data += b.data[..., None, :]
+    out_data += b_data
     x, w, b = _held(x, w, b)
 
     def run(g):
-        g2 = g.reshape(lead + (-1, n))
-        _accum(w, np.swapaxes(x2, -1, -2) @ g2, fresh=True)
-        _accum(b, g2.sum(axis=-2), fresh=True)
+        g2 = g.reshape(lead + (-1, ng))
+        dw, db = np.swapaxes(x2, -1, -2) @ g2, g2.sum(axis=-2)
+        if groups > 1:  # back to w's and b's layouts
+            full = np.zeros((k, n), w_data.dtype)
+            full.reshape(groups, kg, parts, groups, kg)[d, :, :, d, :] = dw.reshape(groups, kg, parts, kg)
+            dw, db = full, db.reshape(groups, parts, kg).transpose(1, 0, 2).reshape(n)
+        _accum(w, dw, fresh=True)
+        _accum(b, db, fresh=True)
         _accum(x, (g2 @ np.swapaxes(w_data, -1, -2)).reshape(x.shape))
 
-    return _make("linear", out_data.reshape(x.shape[:-1] + (n,)), (x, w, b), run)
+    return _make("linear", out_data.reshape(x.shape[:-1] + (ng,)), (x, w, b), run)
 
 
 # ---------------------------------------------------------------------------

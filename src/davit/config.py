@@ -129,8 +129,11 @@ def load_run_config(path, seed=None, threshold=None) -> RunConfig:
     if not cfg_path.is_file():
         raise ValueError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
-    with open(cfg_path, encoding="utf-8") as fh:
-        parser.read_file(fh)
+    try:  # utf-8-sig: a byte-order mark is not part of the first line
+        with open(cfg_path, encoding="utf-8-sig") as fh:
+            parser.read_file(fh)
+    except configparser.Error as exc:  # not a ValueError; its message spans lines
+        raise ValueError(f"malformed config file {path}: {' '.join(str(exc).split())}") from None
     sections = {name: _Section(parser, name) for name in ("model", "data", "train", "bench", "out")}
     for section in parser.sections():
         if section not in sections:

@@ -145,7 +145,7 @@ def load_dataset(manifest_path, class_names=None) -> Dataset:
     if not manifest_path.is_file():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     root = manifest_path.parent
-    with open(manifest_path, newline="", encoding="utf-8") as f:
+    with open(manifest_path, newline="", encoding="utf-8-sig") as f:  # a byte-order mark is not a header
         reader = csv.DictReader(f)
         if reader.fieldnames is None or not {"relative_path", "label_name"} <= set(reader.fieldnames):
             raise ValueError(f"{manifest_path}: header must include relative_path,label_name")

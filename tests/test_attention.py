@@ -228,15 +228,30 @@ def test_channel_off_diagonal_blocks_are_inert():
 
 
 @pytest.mark.parametrize("ng, k", [(1, 1), (3, 3), (24, 1)])
-def test_diagonal_blocks_equal_advanced_index_oracle(ng, k):
+def test_grouped_linear_equals_advanced_index_oracle(ng, k):
     rng = np.random.default_rng(36)
     cg = 4
+    x = rng.normal(size=(ng, 5, cg)).astype(np.float32)
     w = rng.normal(size=(ng * cg, k * ng * cg)).astype(np.float32)
+    b = rng.normal(size=(k * ng * cg,)).astype(np.float32)
     d = np.arange(ng)
-    want = w.reshape(ng, cg, k, ng, cg)[d, :, :, d, :].reshape(ng, cg, k * cg)
-    got = ad.diagonal_blocks(ad.Tensor(w.copy()), ng).data
-    assert got.shape == (ng, cg, k * cg)
-    assert (got == want).all()
+    want = x @ w.reshape(ng, cg, k, ng, cg)[d, :, :, d, :].reshape(ng, cg, k * cg)
+    want += b.reshape(k, ng, cg).transpose(1, 0, 2).reshape(ng, 1, k * cg)
+    got = ad.linear(ad.Tensor(x.copy()), ad.Tensor(w.copy()), ad.Tensor(b.copy()), groups=ng).data
+    assert got.shape == (ng, 5, k * cg)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_channel_attention_records_22_nodes():
+    # Each grouped linear gathers its weight's diagonal blocks and reorders
+    # its bias itself, so no gather or bias reshape node is recorded.
+    p = make_params(8, 4, seed=38)
+    for t in (p.qkv_weight, p.qkv_bias, p.proj_weight, p.proj_bias):
+        t.requires_grad = True
+    with ad.Tape() as tape:
+        at.channel_group_attention(ad.Tensor(np.ones((1, 2, 3, 8), np.float32), requires_grad=True), p)
+    assert len(tape.nodes) == 22
+    assert [node.op for node in tape.nodes].count("linear") == 2
 
 
 @pytest.mark.parametrize("shape", [(1, 4, 4, 4), (2, 3, 4, 4)], ids=["b1", "b2_3x4"])

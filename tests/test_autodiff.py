@@ -148,17 +148,28 @@ def test_matmul_shape_errors():
 # linear
 
 
+def group_blocks(w, b, groups):
+    """The (G, K/G, N/G) diagonal blocks of w and the (G, N/G) bias, cut part by part."""
+    k, n = w.shape
+    kg = k // groups
+    cols = [[slice(part * k + grp * kg, part * k + (grp + 1) * kg) for part in range(n // k)]
+            for grp in range(groups)]
+    blocks = np.stack([np.concatenate([w[grp * kg : (grp + 1) * kg, c] for c in cols[grp]], axis=1)
+                       for grp in range(groups)])
+    return blocks, np.stack([np.concatenate([b[c] for c in cols[grp]]) for grp in range(groups)])
+
+
 def test_linear_rank2_equals_matmul_add_bitwise():
     rng = np.random.default_rng(33)
-    # a dense (R, K) @ (K, N) + (N,) map, then a grouped (G, R, K) @ (G, K, N) + (G, N) one
-    for x_shape, w_shape in (((5, 7), (7, 3)), ((2, 5, 7), (2, 7, 3))):
+    # a dense (R, K) @ (K, N) + (N,) map, then one of 2 groups of a (6, 12) weight in 2 parts
+    for x_shape, w_shape, groups in (((5, 7), (7, 3), 1), ((2, 5, 3), (6, 12), 2)):
         x = rng.normal(size=x_shape).astype(np.float32)
         w = rng.normal(size=w_shape).astype(np.float32)
-        b = rng.normal(size=w_shape[:-2] + w_shape[-1:]).astype(np.float32)
-        got = ad.linear(ad.Tensor(x.copy()), ad.Tensor(w.copy()), ad.Tensor(b.copy())).data
-        bias = ad.Tensor(b.reshape(w_shape[:-2] + (1, 3)).copy())
-        want = ad.add(ad.matmul(ad.Tensor(x.copy()), ad.Tensor(w.copy())), bias).data
-        assert got.dtype == np.float32
+        b = rng.normal(size=w_shape[-1:]).astype(np.float32)
+        got = ad.linear(ad.Tensor(x.copy()), ad.Tensor(w.copy()), ad.Tensor(b.copy()), groups=groups).data
+        blocks, bias = group_blocks(w, b, groups) if groups > 1 else (w, b)
+        want = ad.add(ad.matmul(ad.Tensor(x.copy()), ad.Tensor(blocks)), ad.Tensor(bias[..., None, :].copy())).data
+        assert got.dtype == np.float32 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
@@ -167,11 +178,20 @@ def test_linear_shape_errors():
         ad.linear(ad.zeros((2, 3)), ad.zeros((4, 2)), ad.zeros((2,)))
     with pytest.raises(ValueError):
         ad.linear(ad.zeros((2, 3)), ad.zeros((3, 2)), ad.zeros((3,)))
-    # grouped: x must lead with w's group count, and b carries it too
+    # w is always the dense (K, N) map: a (G, K, N) stack of group weights is no weight
+    with pytest.raises(ValueError):
+        ad.linear(ad.zeros((2, 5, 4)), ad.zeros((2, 4, 3)), ad.zeros((2, 3)))
+    # grouped: x must lead with the group count and end in K / groups, and b stays (N,)
     with pytest.raises(ValueError, match="linear needs"):
-        ad.linear(ad.zeros((3, 5, 4)), ad.zeros((2, 4, 3)), ad.zeros((2, 3)))
+        ad.linear(ad.zeros((3, 5, 2)), ad.zeros((4, 12)), ad.zeros((12,)), groups=2)
     with pytest.raises(ValueError, match="linear needs"):
-        ad.linear(ad.zeros((2, 5, 4)), ad.zeros((2, 4, 3)), ad.zeros((3,)))
+        ad.linear(ad.zeros((2, 5, 4)), ad.zeros((4, 12)), ad.zeros((12,)), groups=2)
+    with pytest.raises(ValueError, match="linear needs"):
+        ad.linear(ad.zeros((2, 5, 2)), ad.zeros((4, 12)), ad.zeros((2, 6)), groups=2)
+    # the groups must split K, and the columns must be whole parts of K
+    for k, n, groups in ((4, 12, 3), (4, 6, 2), (4, 12, 0)):
+        with pytest.raises(ValueError, match="cannot split"):
+            ad.linear(ad.zeros((2, 5, 2)), ad.zeros((k, n)), ad.zeros((n,)), groups=groups)
 
 
 def test_linear_nonfinite_output_raises():
@@ -375,21 +395,27 @@ def test_conv_input_without_grad_keeps_weight_grads_bitwise():
 
 
 @pytest.mark.parametrize("ng, k", [(1, 1), (3, 3), (2, 1)])
-def test_diagonal_blocks_grad_is_upstream_on_blocks_and_zero_off(ng, k):
+def test_grouped_linear_grad_is_upstream_on_blocks_and_zero_off(ng, k):
+    # each group's input is the identity, so its block of dW is the upstream gradient itself
     rng = np.random.default_rng(38)
     cg = 4
     c = ng * cg
+    x = ad.Tensor(np.tile(np.eye(cg, dtype=np.float32), (ng, 1, 1)))
     w = ad.Tensor(rng.normal(size=(c, k * c)).astype(np.float32), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(k * c,)).astype(np.float32), requires_grad=True)
     g = rng.normal(size=(ng, cg, k * cg)).astype(np.float32)
     with ad.Tape():
-        blocks = ad.diagonal_blocks(w, ng)
-        ad.backward(ad.tensor_sum(ad.mul(blocks, ad.Tensor(g.copy()))))
-    want = np.zeros((c, k * c), np.float32)
+        out = ad.linear(x, w, b, groups=ng)
+        ad.backward(ad.tensor_sum(ad.mul(out, ad.Tensor(g.copy()))))
+    want, want_b, g_rows = np.zeros((c, k * c), np.float32), np.zeros(k * c, np.float32), g.sum(axis=1)
     for grp in range(ng):
         rows = slice(grp * cg, (grp + 1) * cg)
         for part in range(k):
-            want[rows, part * c + grp * cg : part * c + (grp + 1) * cg] = g[grp, :, part * cg : (part + 1) * cg]
+            cols, parts = slice(part * c + grp * cg, part * c + (grp + 1) * cg), slice(part * cg, (part + 1) * cg)
+            want[rows, cols] = g[grp, :, parts]
+            want_b[cols] = g_rows[grp, parts]
     assert w.grad.tobytes() == want.tobytes()
+    assert b.grad.tobytes() == want_b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +794,10 @@ def test_backward_releases_each_node():
 
 # op: (input shapes, the op on those inputs, which inputs its backward keeps,
 # whether it keeps its output). Each backward keeps only the arrays its formula
-# reads: both operands of mul and matmul, linear's x and w, layer_norm's gamma,
-# conv2d's weight matrix (a view of w), the output of softmax and log_softmax.
-# slice and diagonal_blocks keep their source, whose layout the gradient
-# buffer copies.
+# reads: both operands of mul and matmul, linear's x and w (grouped, the copy of
+# w's diagonal blocks instead), layer_norm's gamma, conv2d's weight matrix (a
+# view of w), the output of softmax and log_softmax. slice keeps its source,
+# whose layout the gradient buffer copies.
 RETENTION_CASES = {
     "add": ([(2, 3), (1, 3)], ad.add, [False, False], False),
     "mul": ([(2, 3), (2, 3)], ad.mul, [True, True], False),
@@ -781,10 +807,11 @@ RETENTION_CASES = {
     "pad": ([(2, 3)], lambda a: ad.pad(a, ((1, 0), (0, 2))), [False], False),
     "sum": ([(2, 3)], lambda a: ad.tensor_sum(a, axis=1), [False], False),
     "slice": ([(3, 4)], lambda a: a[1:, ::2], [True], False),
-    "diagonal_blocks": ([(4, 8)], lambda w: ad.diagonal_blocks(w, 2), [True], False),
     "unstack": ([(2, 3)], ad.unstack, [False], False),
     "matmul": ([(2, 3), (3, 4)], ad.matmul, [True, True], False),
     "linear": ([(2, 3, 4), (4, 5), (5,)], ad.linear, [True, True, False], False),
+    "linear_grouped": ([(2, 3, 2), (4, 8), (8,)], lambda x, w, b: ad.linear(x, w, b, groups=2),
+                       [True, False, False], False),
     "softmax": ([(2, 5)], ad.softmax, [False], True),
     "log_softmax": ([(2, 5)], ad.log_softmax, [False], True),
     "gelu": ([(2, 5)], ad.gelu, [False], False),
@@ -917,13 +944,15 @@ def test_grad_matmul_plain_and_batched():
                 [rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 2, 3))])
 
 
-@pytest.mark.parametrize("shape, w_shape", [((3, 4), (4, 3)), ((2, 12, 4), (4, 3)), ((2, 5, 4), (2, 4, 3))],
-                         ids=["rank2", "b2_3x4", "grouped2"])
-def test_grad_linear(shape, w_shape):
+@pytest.mark.parametrize("shape, w_shape, groups",
+                         [((3, 4), (4, 3), 1), ((2, 12, 4), (4, 3), 1), ((2, 5, 2), (4, 12), 2), ((2, 5, 2), (4, 4), 2)],
+                         ids=["rank2", "b2_3x4", "grouped2_3parts", "grouped2_1part"])
+def test_grad_linear(shape, w_shape, groups):
     rng = np.random.default_rng(34)
-    weights = rng.normal(size=shape[:-1] + (3,))
-    check_grads(lambda ts: ad.tensor_sum(ad.mul(ad.linear(ts[0], ts[1], ts[2]), ad.Tensor(weights.copy()))),
-                [rng.normal(size=shape), rng.normal(size=w_shape), rng.normal(size=w_shape[:-2] + (3,))])
+    weights = rng.normal(size=shape[:-1] + (w_shape[1] // groups,))
+    check_grads(lambda ts: ad.tensor_sum(ad.mul(ad.linear(ts[0], ts[1], ts[2], groups=groups),
+                                                ad.Tensor(weights.copy()))),
+                [rng.normal(size=shape), rng.normal(size=w_shape), rng.normal(size=w_shape[-1:])])
 
 
 def test_grad_reshape_transpose_pad_slice():

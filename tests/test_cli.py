@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -143,6 +146,29 @@ def test_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text("[train]\nbogus = 1\n", encoding="utf-8")
     assert cli.main(["inspect", "--config", str(cfg)]) != 0
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["seed = 1\n[train]\n", "[train]\nseed = 1\nseed = 2\n",
+                                  "[train]\nseed = 1\n[train]\nseed = 2\n"],
+                         ids=["key_before_section", "duplicate_key", "duplicate_section"])
+def test_malformed_config_is_one_error_line(tmp_path, text):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "davit.cli", "inspect", "--config", str(cfg)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: malformed config file ") and str(cfg) in line
+
+
+def test_config_with_byte_order_mark_loads(tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(BASE_CONFIG.format(out="run"), encoding="utf-8")
+    marked.write_text(BASE_CONFIG.format(out="run"), encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_run_config(marked) == load_run_config(plain)
 
 
 @pytest.mark.parametrize("section, key", [

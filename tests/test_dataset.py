@@ -135,6 +135,20 @@ def test_load_three_rows_in_order(tmp_path):
     assert data[0].weight == 1.0 and data[0].tag is None
 
 
+def test_load_manifest_with_byte_order_mark(tmp_path):
+    for n in ("a.ppm", "b.ppm"):
+        put_image(tmp_path, n, value=60 if n == "a.ppm" else 200)
+    plain = ds.load_dataset(write_manifest(tmp_path, ["b.ppm,dog", "a.ppm,cat"]))
+    marked = tmp_path / "manifest.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+    data = ds.load_dataset(marked)
+    assert data.class_names == plain.class_names == ["cat", "dog"]
+    assert len(data) == len(plain) == 2
+    for got, want in zip(data.samples, plain.samples):
+        assert got.label.tolist() == want.label.tolist()
+        assert got.image.data.tobytes() == want.image.data.tobytes()
+
+
 def test_load_missing_file_names_row(tmp_path):
     put_image(tmp_path, "a.ppm")
     manifest = write_manifest(tmp_path, ["a.ppm,cat", "gone.ppm,dog"])

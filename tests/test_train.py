@@ -373,6 +373,28 @@ def test_step_gradients_equal_out_of_place_sums_bitwise(monkeypatch):
         assert g.tobytes() == want[name].tobytes(), name
 
 
+def test_every_parameter_gradient_adds_in_place():
+    # linear, conv2d and layer_norm hand every parameter a gradient it owns,
+    # channel attention's biases included, so a second backward adds into it
+    stages = [md.StageConfig(7, 4, 3, 8, 1, 4, 4), md.StageConfig(2, 2, 0, 16, 1, 4, 4)]
+    model, data = toy_model_and_data(n=3, num_classes=3, stages=stages, size=32)
+    params = model.named_parameters()
+    images = ad.Tensor(np.stack([s.image.data for s in data.samples]))
+    targets = np.stack([s.label for s in data.samples])
+
+    def backward():
+        with ad.Tape():
+            ad.backward(tr.soft_cross_entropy(md.forward(model, images), targets))
+
+    backward()
+    firsts = {name: (p.grad, p.grad.copy()) for name, p in params.items()}
+    backward()
+    for name, p in params.items():
+        first, once = firsts[name]
+        assert p.grad is first, name
+        assert p.grad.tobytes() == (once + once).tobytes(), name
+
+
 def test_train_epoch_releases_gradients():
     model, data = toy_model_and_data()
     cfg = tr.TrainConfig(warmup_epochs=0, batch_size=4, mixup_alpha=0.2)
