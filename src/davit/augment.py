@@ -18,12 +18,10 @@ Op vocabulary and magnitude ranges:
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from davit import autodiff as ad
-from davit.dataset import Dataset, Sample
+from davit.dataset import Dataset, Sample, read_text
 
 _MAGNITUDE_RANGES = {
     "scale_crop": (0.0, 3.0),
@@ -38,7 +36,7 @@ _MAGNITUDE_RANGES = {
 def parse_policy(path):
     """Read an augmentation policy file into (op, probability, magnitude) triples."""
     triples = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

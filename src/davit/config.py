@@ -3,9 +3,9 @@
 Commands read a flat UTF-8 `key = value` file with one section per module
 ([model], [data], [train], [bench], [out]).  Every key has a default, unknown
 sections or keys are rejected, and all values are validated up front so a bad
-config fails before any long-running work starts.  `#` starts a comment, and
-a key left empty takes its default.  Relative paths inside the
-file resolve against the config file's own directory.
+config fails before any long-running work starts, with an error naming the
+file.  `#` starts a comment, and a key left empty takes its default.  Relative
+paths inside the file resolve against the config file's own directory.
 
 The dataclasses own their sections' keys and defaults.  Every `TrainConfig`
 field is a [train] key with that field's type and default.  [model] reads
@@ -25,6 +25,7 @@ from pathlib import Path
 
 from . import model as md
 from .bench import measure_fps
+from .dataset import read_text
 from .train import TrainConfig
 
 # [model] per-stage list keys besides `channels` (whose length sets the
@@ -129,11 +130,17 @@ def load_run_config(path, seed=None, threshold=None) -> RunConfig:
     if not cfg_path.is_file():
         raise ValueError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
-    try:  # utf-8-sig: a byte-order mark is not part of the first line
-        with open(cfg_path, encoding="utf-8-sig") as fh:
-            parser.read_file(fh)
+    try:
+        parser.read_string(read_text(cfg_path), source=str(path))
     except configparser.Error as exc:  # not a ValueError; its message spans lines
         raise ValueError(f"malformed config file {path}: {' '.join(str(exc).split())}") from None
+    try:
+        return _run_config(parser, cfg_path, seed, threshold)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _run_config(parser, cfg_path, seed, threshold) -> RunConfig:
     sections = {name: _Section(parser, name) for name in ("model", "data", "train", "bench", "out")}
     for section in parser.sections():
         if section not in sections:

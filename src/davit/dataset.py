@@ -12,6 +12,7 @@ dataset holds a quarter of the memory its float pixels would take.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -134,6 +135,17 @@ def write_ppm(path, image):
         f.write(pixels.transpose(1, 2, 0).tobytes())
 
 
+def read_text(path) -> str:
+    """A UTF-8 text input's contents, less a leading byte-order mark.
+
+    Bytes that are not UTF-8 raise ValueError naming the file and offset.
+    """
+    try:
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+
+
 def load_dataset(manifest_path, class_names=None) -> Dataset:
     """Read a manifest CSV and decode every referenced image, in order.
 
@@ -145,14 +157,16 @@ def load_dataset(manifest_path, class_names=None) -> Dataset:
     if not manifest_path.is_file():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     root = manifest_path.parent
-    with open(manifest_path, newline="", encoding="utf-8-sig") as f:  # a byte-order mark is not a header
-        reader = csv.DictReader(f)
+    reader = csv.DictReader(io.StringIO(read_text(manifest_path), newline=""))
+    try:  # csv.Error, as for a field over csv's size limit, is not a ValueError
         if reader.fieldnames is None or not {"relative_path", "label_name"} <= set(reader.fieldnames):
             raise ValueError(f"{manifest_path}: header must include relative_path,label_name")
         extras = set(reader.fieldnames) - {"relative_path", "label_name", "tag", "weight"}
         if extras:
             raise ValueError(f"{manifest_path}: unknown manifest columns {sorted(extras)}")
         rows = list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"{manifest_path} line {reader.reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{manifest_path}: manifest holds no samples")
 

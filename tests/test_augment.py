@@ -1,4 +1,5 @@
 import colorsys
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,20 @@ def test_parse_policy_errors(tmp_path):
         path.write_text(line + "\n")
         with pytest.raises(ValueError, match=match):
             ag.parse_policy(path)
+
+
+def test_parse_policy_with_byte_order_mark(tmp_path):
+    path = tmp_path / "p.policy"
+    path.write_text("# comment\nhflip 0.5 0\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert ag.parse_policy(path) == [("hflip", 0.5, 0.0)]
+
+
+def test_parse_policy_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "p.policy"
+    path.write_bytes(b"hflip 0.5 0\n# caf\xe9\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: byte 17 is not UTF-8"):
+        ag.parse_policy(path)
 
 
 def test_default_shipped_policy_parses():

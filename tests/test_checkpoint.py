@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -210,6 +211,92 @@ def test_failed_fsync_keeps_the_previous_file(tmp_path, monkeypatch):
     ck.load_checkpoint(path, dst)
     for name, t in src.named_parameters().items():
         assert t.data.tobytes() == dst.named_parameters()[name].data.tobytes(), name
+
+
+def join_release_threads():
+    for t in threading.enumerate():
+        if t.name == "checkpoint-release":
+            t.join(timeout=10)
+            assert not t.is_alive()
+
+
+def open_descriptors():
+    """This process's descriptors and what each points at (Linux /proc)."""
+    fds = {}
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            fds[fd] = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the descriptor listdir itself held
+            pass
+    return fds
+
+
+linux_only = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs Linux /proc/self/fd")
+
+
+def test_write_without_posix_fadvise_writes_the_same_bytes(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    # a 2 MiB record between two small ones
+    tensors = {"a": rng.normal(size=(3,)), "big": rng.normal(size=(512, 1024)), "b": rng.normal(size=(2, 2))}
+    advised = []
+    if hasattr(os, "posix_fadvise"):
+        real_fadvise = os.posix_fadvise
+
+        def fadvise(fd, offset, length, advice):
+            advised.append((offset, length, advice))
+            real_fadvise(fd, offset, length, advice)
+
+        monkeypatch.setattr(os, "posix_fadvise", fadvise)
+    ck.write_tensors(tmp_path / "with.ckpt", tensors)
+    if advised:  # only the big record's data, byte for byte
+        start = 12 + (4 + 1 + 4 + 4 + 12) + (4 + 3 + 4 + 8)
+        assert advised == [(start, 512 * 1024 * 4, os.POSIX_FADV_DONTNEED)]
+    monkeypatch.delattr(os, "posix_fadvise", raising=False)
+    ck.write_tensors(tmp_path / "without.ckpt", tensors)
+    assert (tmp_path / "with.ckpt").read_bytes() == (tmp_path / "without.ckpt").read_bytes()
+    back = ck.read_tensors(tmp_path / "without.ckpt")
+    for name, a in tensors.items():
+        assert back[name].tobytes() == a.astype("<f4").tobytes(), name
+
+
+@linux_only
+def test_saves_over_one_path_leave_no_deleted_descriptor(tmp_path):
+    path = tmp_path / "m.ckpt"
+    for seed in (1, 2):
+        model = toy_model(seed=seed)
+        ck.save_checkpoint(model, path)
+    join_release_threads()
+    held = [target for target in open_descriptors().values()
+            if target.startswith(os.fspath(tmp_path)) and target.endswith(" (deleted)")]
+    assert held == []
+    dst = toy_model(seed=9)
+    ck.load_checkpoint(path, dst)
+    for name, t in model.named_parameters().items():
+        assert t.data.tobytes() == dst.named_parameters()[name].data.tobytes(), name
+
+
+@linux_only
+@pytest.mark.parametrize("fails", ["record", "replace"])
+def test_failed_write_leaves_no_open_descriptor(tmp_path, monkeypatch, fails):
+    path = tmp_path / "m.ckpt"
+    ck.save_checkpoint(toy_model(seed=2), path)
+    before = path.read_bytes()
+    join_release_threads()
+    fds = open_descriptors()
+    tensors = {"w": np.ones((512, 1024), dtype=np.float32)}
+    if fails == "record":  # the first record is written before the second fails to convert
+        tensors["bad"] = object()
+    else:
+        def replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises((TypeError, OSError)):
+        ck.write_tensors(path, tensors)
+    join_release_threads()
+    assert open_descriptors() == fds
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+    assert path.read_bytes() == before
 
 
 def test_mismatched_config_names_first_offender(tmp_path):

@@ -171,13 +171,35 @@ def test_config_with_byte_order_mark_loads(tmp_path):
     assert load_run_config(marked) == load_run_config(plain)
 
 
+def test_config_not_utf8_names_the_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"[train]\nseed = 1  # \xa7 1\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(cfg))}: byte 20 is not UTF-8"):
+        load_run_config(cfg)
+
+
+def test_manifest_field_over_csv_limit_is_one_error_line(tmp_path):
+    (tmp_path / "a.ppm").write_bytes(b"P6\n2 2\n255\n" + bytes(12))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("relative_path,label_name\na.ppm," + "x" * 200_000 + "\n", encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[data]\nmanifest = manifest.csv\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "davit.cli", "train", "--config", str(cfg)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line == f"error: {manifest} line 2: field larger than field limit (131072)"
+
+
 @pytest.mark.parametrize("section, key", [
     ("model", "window"), ("data", "manifests"), ("train", "threshhold"),
     ("bench", "timed"), ("out", "dirr")])
 def test_misspelled_key_rejected(tmp_path, section, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"[{section}]\n{key} = 1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"^unknown key '{key}' in \[{section}\]$"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(cfg))}: unknown key '{key}' in \[{section}\]$"):
         load_run_config(cfg)
 
 
@@ -345,23 +367,26 @@ def test_config_errors(tmp_path):
         cfg.write_text(text, encoding="utf-8")
         return load_run_config(cfg)
 
-    with pytest.raises(ValueError, match="unknown config section"):
+    bad = re.escape(str(tmp_path / "bad.cfg"))  # every error names the file first
+    with pytest.raises(ValueError, match=rf"^{bad}: unknown config section \[nope\]$"):
         load("[nope]\nx = 1\n")
-    with pytest.raises(ValueError, match=r"\[train\] base_lr"):
+    with pytest.raises(ValueError, match=rf"^{bad}: \[train\] base_lr"):
         load("[train]\nbase_lr = fast\n")
-    with pytest.raises(ValueError, match="depths has 3 entries"):
+    with pytest.raises(ValueError, match=rf"^{bad}: depths has 3 entries for 2 stages$"):
         load("[model]\nchannels = 8,16\ndepths = 1,2,3\n")
-    with pytest.raises(ValueError, match="threshold"):
+    with pytest.raises(ValueError, match=rf"^{bad}: \[train\] threshold must be in \[0, 1\), got 1.5$"):
         load("[train]\nthreshold = 1.5\n")
-    with pytest.raises(ValueError, match="train_fraction"):
+    with pytest.raises(ValueError, match=rf"^{bad}: \[data\] train_fraction must be in \(0, 1\), got 0.0$"):
         load("[data]\ntrain_fraction = 0\n")
+    with pytest.raises(ValueError, match=rf"^{bad}: .*mixup_alpha"):  # a TrainConfig range check
+        load("[train]\nmixup_alpha = -1\n")
     with pytest.raises(ValueError, match="config file not found"):
         load_run_config(tmp_path / "absent.cfg")
     for section, key in [("train", "base_lr"), ("train", "weight_decay"), ("train", "eps"),
                          ("train", "mixup_alpha"), ("data", "upweight_factor"),
                          ("model", "ffn_expansion")]:
         for value in ("nan", "inf", "-inf"):
-            with pytest.raises(ValueError, match=rf"\[{section}\] {key}: not a finite number"):
+            with pytest.raises(ValueError, match=rf"^{bad}: \[{section}\] {key}: not a finite number"):
                 load(f"[{section}]\n{key} = {value}\n")
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -197,6 +198,22 @@ def test_load_rejects_unknown_columns_and_bad_weight(tmp_path):
                                   header="relative_path,label_name,weight")
         with pytest.raises(ValueError, match=r"row 3: weight must be finite and > 0"):
             ds.load_dataset(manifest)
+
+
+def test_load_manifest_field_over_csv_limit_names_the_line(tmp_path):
+    put_image(tmp_path, "a.ppm")
+    manifest = write_manifest(tmp_path, ["a.ppm,cat", "a.ppm," + "x" * 131_073])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest))} line 3: field larger than field limit"):
+        ds.load_dataset(manifest)
+
+
+def test_load_manifest_not_utf8_names_the_file(tmp_path):
+    put_image(tmp_path, "a.ppm")
+    manifest = write_manifest(tmp_path, ["a.ppm,cat"])
+    manifest.write_bytes(manifest.read_bytes() + b"b\xff.ppm,dog\n")
+    offset = manifest.read_bytes().index(b"\xff")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest))}: byte {offset} is not UTF-8"):
+        ds.load_dataset(manifest)
 
 
 def test_load_missing_manifest(tmp_path):
