@@ -61,9 +61,8 @@ def _attend(qkv, scale, mask=None):
     Returns the (T, tokens, width) output and the (T, tokens, tokens)
     attention weights.
     """
-    q, k, v = ad.unstack(qkv)
-    logits = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), scale)
-    attn = ad.softmax(logits, axis=-1, mask=mask)
+    v = qkv[2]  # recorded first, so its backward adds into the stack's buffer last
+    attn = ad.attention_weights(qkv, scale, mask)
     return ad.matmul(attn, v), attn
 
 

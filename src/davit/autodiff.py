@@ -20,15 +20,16 @@ own .grad stays None.
 
 A tensor's first gradient is kept as is when it is C-contiguous, so one
 array can be the .grad of several tensors; later ones are summed out of
-place. The exception is an array that linear, conv2d or layer_norm has
-just allocated for a weight or bias and references nowhere else, as
-every parameter gradient is: the tensor owns it, and later gradients are
-added into it in place, bitwise the out-of-place sum. Ownership follows
-the array, so a .grad the caller assigns is never written.
+place. The exception is an array that an op has just allocated and
+references nowhere else, as every parameter gradient and attention_weights'
+q/k/v stack gradient is: the tensor owns it, and later gradients (a slice's
+into its region) are added into it in place, bitwise the out-of-place sum.
+Ownership follows the array, so a .grad the caller assigns is never written.
 
-Ops are module functions (add, matmul, linear, reshape, unstack, tensor_sum,
-...) on Tensors; the only operator Tensor defines is indexing, which is the
-slice op and takes basic indices only: ints, slices, None and Ellipsis.
+Ops are module functions (add, matmul, linear, reshape, attention_weights,
+tensor_sum, ...) on Tensors; the only operator Tensor defines is indexing,
+which is the slice op and takes basic indices only: ints, slices, None and
+Ellipsis.
 
 Each forward op's output is scanned for NaN and Inf, which raise
 NonFiniteError naming the op. The movement ops (reshape, transpose,
@@ -191,14 +192,17 @@ class Tensor:
         for part in idx if isinstance(idx, tuple) else (idx,):
             if isinstance(part, bool) or not isinstance(part, (int, np.integer, slice, type(None), type(...))):
                 raise IndexError(f"tensor indices must be ints, slices, None or Ellipsis, got {part!r}")
-        data = self.data  # kept: the gradient buffer takes its memory layout
-        raw = data[idx]
-        raw_shape = raw.shape
+        raw = self.data[idx]
+        raw_shape, shape, dtype = raw.shape, self.shape, self.dtype
         out_data = raw if raw.ndim else raw.reshape(1)
+        like = None if self.data.flags.c_contiguous else self.data  # kept for its layout only
         (src,) = _held(self)
 
         def run(g):
-            buf = np.zeros_like(data)
+            if src._owned is not None and src._owned() is src.grad and g.dtype == src.grad.dtype:
+                src.grad[idx] += g.reshape(raw_shape)  # an array src owns: add into the region in place
+                return
+            buf = np.zeros(shape, dtype) if like is None else np.zeros_like(like)
             buf[idx] = g.reshape(raw_shape)
             _accum(src, buf)
 
@@ -407,31 +411,6 @@ def pad(t, pad_width):
     return _make("pad", out_data, (t,), run)
 
 
-def unstack(t):
-    """(t[0], t[1], ...) as views, with one gradient buffer for t; nodes are slices.
-
-    A sink node recorded before the parts runs after all of them: each part
-    writes its gradient + 0.0 (so -0.0 reads 0.0, as in a sum of zero-padded
-    slices) into the sink's zero-filled gradient, which the sink hands to t.
-    """
-    if t.ndim < 2:
-        raise ValueError(f"unstack needs rank >= 2, got shape {t.shape}")
-    data = t.data
-    (t,) = _held(t)
-    whole = _make("slice", data, (t,), lambda g: _accum(t, g))
-    (sink,) = _held(whole)
-
-    def part(i):
-        def run(g):
-            if sink.grad is None:
-                sink.grad = np.zeros(sink.shape, sink.dtype)
-            np.add(g, 0.0, out=sink.grad[i])
-
-        return _make("slice", data[i], (sink,), run)
-
-    return tuple(part(i) for i in range(t.shape[0]))
-
-
 def tensor_sum(t, axis=None, keepdims=False):
     in_shape = t.shape
     if axis is None:
@@ -532,30 +511,10 @@ def linear(x, w, b, groups=1):
 # nonlinearities and normalization
 
 
-def softmax(t, axis=-1, mask=None):
-    """Stable softmax along one axis.
-
-    mask, when given, is a boolean array broadcastable to t's shape;
-    False entries are excluded and receive exactly zero weight. Every
-    slice along the axis must keep at least one True entry. Unless axis
-    is 0, the forward runs in cache-sized blocks of the leading axis.
-    """
-    axis = axis % t.ndim
-    z = t.data
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
-        if not mask.any(axis=axis).all():
-            raise ValueError("softmax mask excludes an entire slice")
-    s = np.empty(z.shape, z.dtype)
-    lead = z.shape[0]
-    step = max(1, _BLOCK // (z.size // lead)) if axis else lead
-    for i in range(0, lead, step):
-        zb, sb = z[i : i + step], s[i : i + step]
-        if mask is not None:
-            zb = np.where(mask[i : i + step], zb, -np.inf)
-        np.subtract(zb, zb.max(axis=axis, keepdims=True), out=sb)
-        np.exp(sb, out=sb)
-        sb /= sb.sum(axis=axis, keepdims=True)
+def softmax(t, axis=-1):
+    """Stable softmax along one axis."""
+    e = np.exp(t.data - t.data.max(axis=axis, keepdims=True))
+    s = e / e.sum(axis=axis, keepdims=True)
     (t,) = _held(t)
 
     def run(g):
@@ -564,8 +523,46 @@ def softmax(t, axis=-1, mask=None):
     return _make("softmax", s, (t,), run)
 
 
+def attention_weights(qkv, scale, mask=None):
+    """softmax(scale * q @ k^T) over the keys, for a (3, T, n, w) q/k/v stack.
+
+    mask, when given, is a boolean array broadcastable to (T, n, n) whose
+    False keys get exactly zero weight; every query must keep a key. The
+    softmax runs in place, in cache-sized blocks of T. Backward writes dq + 0.0
+    and dk + 0.0 (so -0.0 reads 0.0) into one zero buffer the stack owns, so
+    a slice of v then adds its gradient into that buffer in place.
+    """
+    if qkv.ndim != 4 or qkv.shape[0] != 3:
+        raise ValueError(f"attention_weights needs a (3, T, n, w) q/k/v stack, got {qkv.shape}")
+    scale = float(scale)  # a numpy scalar would round the float32 product differently
+    q, k = qkv.data[0], qkv.data[1]
+    s = q @ np.swapaxes(k, -1, -2)
+    s *= scale
+    if mask is not None:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), s.shape)
+        if not mask.any(axis=-1).all():
+            raise ValueError("attention mask excludes every key of a query")
+    step = max(1, _BLOCK // s[0].size)
+    for i in range(0, len(s), step):
+        sb = s[i : i + step]
+        zb = sb if mask is None else np.where(mask[i : i + step], sb, -np.inf)
+        np.subtract(zb, zb.max(axis=-1, keepdims=True), out=sb)
+        np.exp(sb, out=sb)
+        sb /= sb.sum(axis=-1, keepdims=True)
+    (qkv,) = _held(qkv)
+
+    def run(g):
+        dl = s * (g - (g * s).sum(axis=-1, keepdims=True))
+        dl *= scale
+        buf = np.zeros(qkv.shape, qkv.dtype)
+        np.add(dl @ k, 0.0, out=buf[0])
+        np.add(np.swapaxes(np.swapaxes(q, -1, -2) @ dl, -1, -2), 0.0, out=buf[1])
+        _accum(qkv, buf, fresh=True)
+
+    return _make("attention_weights", s, (qkv,), run)
+
+
 def log_softmax(t, axis=-1):
-    axis = axis % t.ndim
     z = t.data - t.data.max(axis=axis, keepdims=True)
     out_data = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
     (t,) = _held(t)

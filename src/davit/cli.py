@@ -37,9 +37,9 @@ def upweight_tagged(ds, tag, factor) -> int:
     return hits
 
 
-def _load_splits(rc):
+def _load_splits(rc, config):
     if rc.manifest is None:
-        raise CliError("config is missing [data] manifest")
+        raise CliError(f"{config}: config is missing [data] manifest")
     ds = load_dataset(rc.manifest)
     want = (rc.model.input_channels, rc.model.input_size, rc.model.input_size)
     if ds[0].image.shape != want:
@@ -47,10 +47,8 @@ def _load_splits(rc):
                        f"but [model] expects {'x'.join(map(str, want))}")
     train_ds, val_ds = split_dataset(ds, rc.train_fraction, rc.split_seed,
                                      holdout_tags=rc.holdout_tags)
-    if len(train_ds) == 0:
-        raise CliError("train split is empty; raise train_fraction or add data")
-    if len(val_ds) == 0:
-        raise CliError("validation split is empty; lower train_fraction or add data")
+    if len(train_ds) == 0:  # split_dataset leaves an untagged sample to validation
+        raise CliError(f"{config}: [data] train_fraction and holdout_tags leave the train split empty")
     return train_ds, val_ds
 
 
@@ -63,7 +61,7 @@ def _check_config_hash(meta, model_cfg, force):
 
 
 def cmd_train(args, rc) -> int:
-    train_ds, val_ds = _load_splits(rc)
+    train_ds, val_ds = _load_splits(rc, args.config)
     if rc.upweight_tag is not None:
         hits = upweight_tagged(train_ds, rc.upweight_tag, rc.upweight_factor)
         print(f"upweighted {hits} samples tagged '{rc.upweight_tag}' "
@@ -117,7 +115,7 @@ def cmd_train(args, rc) -> int:
 def cmd_eval(args, rc) -> int:
     if args.init_from is None:
         raise CliError("eval needs --init-from <checkpoint>")
-    _, val_ds = _load_splits(rc)
+    _, val_ds = _load_splits(rc, args.config)
     model = md.build_model(rc.model, seed=rc.train.seed)
     _, meta = ck.load_checkpoint(args.init_from, model)
     _check_config_hash(meta, rc.model, args.force)

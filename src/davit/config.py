@@ -118,7 +118,7 @@ def _build_model_config(sec: _Section) -> md.ModelConfig:
     per_stage = {"channels": channels}
     for key, name in _STAGE_KEYS.items():
         values = sec.get(key, ints, [getattr(first, name)] + [getattr(later, name)] * (n - 1))
-        per_stage[name] = _broadcast(values, n, key)
+        per_stage[name] = _broadcast(values, n, f"[model] {key}")
     stages = [md.StageConfig(**{name: v[i] for name, v in per_stage.items()})
               for i in range(n)]
     return md.ModelConfig(stages=stages, **sec.get_fields(default, skip={"stages"}))
@@ -177,8 +177,11 @@ def _run_config(parser, cfg_path, seed, threshold) -> RunConfig:
             if key not in sections[section].served:
                 raise ValueError(f"unknown key '{key}' in [{section}]")
 
-    rc.model.validate()
-    rc.train.validate()
+    for section, dataclass_config in (("model", rc.model), ("train", rc.train)):
+        try:
+            dataclass_config.validate()
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {exc}") from None
     if not 0.0 <= rc.threshold < 1.0:
         raise ValueError(f"[train] threshold must be in [0, 1), got {rc.threshold}")
     if not 0.0 < rc.train_fraction < 1.0:

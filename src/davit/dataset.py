@@ -189,7 +189,10 @@ def load_dataset(manifest_path, class_names=None) -> Dataset:
         path = root / row["relative_path"]
         if not path.is_file():
             raise row_error(idx, f"image file missing: {path}")
-        image = read_pixels(path)
+        try:
+            image = read_pixels(path)
+        except ValueError as exc:
+            raise row_error(idx, str(exc)) from None
         if samples and image.shape != samples[0].image.shape:
             raise row_error(idx, f"image {path} has shape {image.shape}, "
                                  f"the first row's has {samples[0].image.shape}")

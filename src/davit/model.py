@@ -49,13 +49,11 @@ class StageConfig:
 
     def validate(self):
         if self.channels < 1 or self.head_width < 1 or self.channels % self.head_width:
-            raise ValueError(f"channels {self.channels} not divisible by head width {self.head_width}")
-        if self.depth < 1:
-            raise ValueError("stage depth must be >= 1")
-        if self.embed_kernel < 1 or self.embed_stride < 1 or self.embed_pad < 0:
-            raise ValueError("invalid patch embedding geometry")
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
+            raise ValueError(f"channels {self.channels} not divisible by head_width {self.head_width}")
+        for key, low in (("depth", 1), ("embed_kernel", 1), ("embed_stride", 1), ("embed_pad", 0),
+                         ("window_size", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
 
 
 @dataclass
@@ -67,21 +65,21 @@ class ModelConfig:
     ffn_expansion: float = 4.0
 
     def validate(self):
-        if self.input_size < 1:
-            raise ValueError("input_size must be >= 1")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if self.input_channels < 1:
-            raise ValueError("input_channels must be >= 1")
+        for key, low in (("input_size", 1), ("num_classes", 2), ("input_channels", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.ffn_expansion <= 0:
-            raise ValueError("ffn_expansion must be > 0")
+            raise ValueError(f"ffn_expansion must be > 0, got {self.ffn_expansion}")
         if not self.stages:
             raise ValueError("at least one stage required")
-        for s in self.stages:
-            s.validate()
-        for size in stage_output_sizes(self):
+        for i, s in enumerate(self.stages):
+            try:
+                s.validate()
+            except ValueError as exc:
+                raise ValueError(f"stage {i}: {exc}") from None
+        for i, size in enumerate(stage_output_sizes(self)):
             if size < 1:
-                raise ValueError("a stage collapses the spatial extent below 1")
+                raise ValueError(f"input_size {self.input_size} collapses stage {i} below 1 pixel")
 
     def ffn_hidden(self, channels):
         hidden = int(round(channels * self.ffn_expansion))

@@ -35,16 +35,18 @@ class TrainConfig:
     cosine_decay: bool = False
 
     def validate(self):
-        if not 0 <= self.warmup_epochs <= self.total_epochs:
-            raise ValueError("need 0 <= warmup_epochs <= total_epochs")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be > 0")
-        if self.weight_decay < 0 or self.mixup_alpha < 0:
-            raise ValueError("weight_decay and mixup_alpha must be >= 0")
-        if not 0 < self.beta1 < 1 or not 0 < self.beta2 < 1 or self.eps <= 0:
-            raise ValueError("invalid AdamW constants")
+        for key, ok, want in (
+                ("warmup_epochs", 0 <= self.warmup_epochs <= self.total_epochs,
+                 f"in [0, total_epochs = {self.total_epochs}]"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("base_lr", self.base_lr > 0, "> 0"),
+                ("weight_decay", self.weight_decay >= 0, ">= 0"),
+                ("mixup_alpha", self.mixup_alpha >= 0, ">= 0"),
+                ("beta1", 0 < self.beta1 < 1, "in (0, 1)"),
+                ("beta2", 0 < self.beta2 < 1, "in (0, 1)"),
+                ("eps", self.eps > 0, "> 0")):
+            if not ok:
+                raise ValueError(f"{key} must be {want}, got {getattr(self, key)}")
 
 
 @dataclass

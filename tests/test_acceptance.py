@@ -120,11 +120,13 @@ def test_gradient_suite():
                                                     ts[1])),
                     [arr(3, 4), arr(1, 4)])
         check_grads(lambda ts: ad.tensor_mean(ts[0]), [arr(5, 3)])
-        mask = np.ones((4, 6), dtype=bool)
-        mask[:, 4:] = False
-        check_grads(lambda ts: ad.tensor_sum(ad.mul(ad.softmax(ts[0], axis=-1,
-                                                               mask=mask),
+        mask = np.ones((2, 1, 6), dtype=bool)
+        mask[..., 4:] = False
+        check_grads(lambda ts: ad.tensor_sum(ad.mul(ad.attention_weights(ts[0], 0.5,
+                                                                         mask),
                                                     ts[1])),
+                    [arr(3, 2, 6, 2), arr(2, 6, 6)])
+        check_grads(lambda ts: ad.tensor_sum(ad.mul(ad.softmax(ts[0]), ts[1])),
                     [arr(4, 6), arr(4, 6)])
         check_grads(lambda ts: ad.tensor_sum(ad.mul(ad.log_softmax(ts[0]), ts[1])),
                     [arr(4, 6), arr(4, 6)])

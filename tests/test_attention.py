@@ -136,6 +136,44 @@ def test_spatial_attention_grad_with_padding_mask(shape):
 
 
 # ---------------------------------------------------------------------------
+# the attention core shared by both kernels
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_attend_equals_numpy_oracle_bitwise(masked):
+    # The stack's gradient is one buffer: dq and dk from attention_weights,
+    # dv added in place by the v slice, each as its product + 0.0, so no
+    # -0.0 is left behind, also where the upstream gradient holds -0.0.
+    rng = np.random.default_rng(26)
+    qkv = rng.normal(size=(3, 4, 6, 5)).astype(np.float32)
+    mask = rng.random((4, 1, 6)) < 0.6 if masked else None
+    if masked:
+        mask[..., 0] = True
+    up = rng.normal(size=(4, 6, 5)).astype(np.float32)
+    up[:, :, 1] = -0.0
+    up[0] = -0.0
+    scale = 1.0 / np.sqrt(5)
+    x = ad.Tensor(qkv.copy(), requires_grad=True)
+    with ad.Tape():
+        out, attn = at._attend(x, scale, mask)
+        ad.backward(ad.tensor_sum(ad.mul(out, ad.Tensor(up.copy()))))
+
+    q, k, v = qkv
+    z = (q @ np.swapaxes(k, -1, -2)) * float(scale)
+    if masked:
+        z = np.where(mask, z, -np.inf)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    ds = up @ np.swapaxes(v, -1, -2)
+    dl = s * (ds - (ds * s).sum(axis=-1, keepdims=True)) * float(scale)
+    raw = np.stack([dl @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ dl, -1, -2), np.swapaxes(s, -1, -2) @ up])
+    assert attn.data.tobytes() == s.tobytes()
+    assert out.data.tobytes() == (s @ v).tobytes()
+    assert x.grad.tobytes() == (raw + 0.0).tobytes()
+    assert (x.grad[2, 0] == 0).all() and not np.signbit(x.grad[x.grad == 0]).any()
+
+
+# ---------------------------------------------------------------------------
 # channel group attention
 
 
@@ -242,15 +280,16 @@ def test_grouped_linear_equals_advanced_index_oracle(ng, k):
     assert got.tobytes() == want.tobytes()
 
 
-def test_channel_attention_records_22_nodes():
+def test_channel_attention_records_16_nodes():
     # Each grouped linear gathers its weight's diagonal blocks and reorders
-    # its bias itself, so no gather or bias reshape node is recorded.
+    # its bias itself, so no gather or bias reshape node is recorded, and
+    # _attend records three: the v slice, attention_weights and attn @ v.
     p = make_params(8, 4, seed=38)
     for t in (p.qkv_weight, p.qkv_bias, p.proj_weight, p.proj_bias):
         t.requires_grad = True
     with ad.Tape() as tape:
         at.channel_group_attention(ad.Tensor(np.ones((1, 2, 3, 8), np.float32), requires_grad=True), p)
-    assert len(tape.nodes) == 22
+    assert len(tape.nodes) == 16
     assert [node.op for node in tape.nodes].count("linear") == 2
 
 

@@ -202,7 +202,7 @@ def test_linear_nonfinite_output_raises():
 
 
 # ---------------------------------------------------------------------------
-# softmax / log_softmax
+# softmax / log_softmax, and attention_weights' masked, blocked softmax
 
 
 def test_softmax_uniform():
@@ -227,19 +227,25 @@ def test_softmax_shift_invariance_no_overflow():
 
 
 def test_softmax_mask():
-    x = ad.from_values((2, 3), [1, 2, 3, 4, 5, 6])
-    mask = np.array([[True, True, False], [True, False, False]])
-    out = ad.softmax(x, axis=1, mask=mask)
-    assert out.data[0, 2] == 0.0
-    assert out.data[1, 1] == 0.0 and out.data[1, 2] == 0.0
-    assert out.data[1, 0] == 1.0
-    assert abs(out.data[0, :2].sum() - 1.0) < 1e-6
+    qkv = ad.Tensor(np.random.default_rng(12).normal(size=(3, 1, 3, 2)).astype(np.float32))
+    mask = np.array([[[True, True, False], [True, False, False], [True, True, True]]])
+    out = ad.attention_weights(qkv, 0.5, mask)
+    assert out.shape == (1, 3, 3)
+    assert out.data[0, 0, 2] == 0.0
+    assert out.data[0, 1, 1] == 0.0 and out.data[0, 1, 2] == 0.0
+    assert out.data[0, 1, 0] == 1.0
+    assert abs(out.data[0, 0, :2].sum() - 1.0) < 1e-6
 
 
 def test_softmax_mask_all_false_slice():
-    x = ad.zeros((2, 2))
-    with pytest.raises(ValueError):
-        ad.softmax(x, axis=1, mask=np.array([[True, True], [False, False]]))
+    with pytest.raises(ValueError, match="excludes every key"):
+        ad.attention_weights(ad.zeros((3, 1, 2, 2)), 1.0, np.array([[[True, True], [False, False]]]))
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (2, 1, 3, 4), (3, 1, 3)])
+def test_attention_weights_needs_a_qkv_stack(shape):
+    with pytest.raises(ValueError, match=r"\(3, T, n, w\) q/k/v stack"):
+        ad.attention_weights(ad.zeros(shape), 1.0)
 
 
 def test_log_softmax_matches_log_of_softmax():
@@ -265,19 +271,25 @@ def window_key_mask(rng, t, n):
     return mask
 
 
+def attention_logits(qkv, scale):
+    # q @ k^T, then the scale, as attention_weights forms its logits
+    return (qkv[0] @ np.swapaxes(qkv[1], -1, -2)) * scale
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("masked", [False, True])
 def test_softmax_blocks_match_pieces_and_formula(dtype, masked):
-    # 49 x 49 rows make blocks of 13 along the leading axis; 30 ends in a ragged 4
+    # 49 x 49 weights make blocks of 13 along T; 30 ends in a ragged 4
     rng = np.random.default_rng(40)
     step = ad._BLOCK // (49 * 49)
     t = 2 * step + 4
-    z = rng.normal(0.0, 4.0, size=(t, 49, 49)).astype(dtype)
+    qkv = rng.normal(0.0, 1.0, size=(3, t, 49, 16)).astype(dtype)
     mask = window_key_mask(rng, t, 49) if masked else None
-    whole = ad.softmax(ad.Tensor(z.copy()), axis=-1, mask=mask).data
-    assert whole.tobytes() == softmax_formula(z, -1, mask).tobytes()
+    whole = ad.attention_weights(ad.Tensor(qkv.copy()), 0.25, mask).data
+    assert whole.tobytes() == softmax_formula(attention_logits(qkv, 0.25), -1, mask).tobytes()
     cuts = [0, 5, step + 1, t]
-    pieces = [ad.softmax(ad.Tensor(z[lo:hi].copy()), axis=-1, mask=None if mask is None else mask[lo:hi]).data
+    pieces = [ad.attention_weights(ad.Tensor(qkv[:, lo:hi].copy()), 0.25,
+                                   None if mask is None else mask[lo:hi]).data
               for lo, hi in zip(cuts, cuts[1:])]
     assert whole.tobytes() == np.concatenate(pieces).tobytes()
 
@@ -292,14 +304,18 @@ def test_softmax_other_axes_match_formula(axis):
 def test_softmax_backward_equals_formula_bitwise():
     rng = np.random.default_rng(42)
     t = 2 * (ad._BLOCK // (49 * 49)) + 4
-    z = rng.normal(size=(t, 49, 49)).astype(np.float32)
-    w = rng.normal(size=z.shape).astype(np.float32)
+    qkv = rng.normal(size=(3, t, 49, 16)).astype(np.float32)
+    w = rng.normal(size=(t, 49, 49)).astype(np.float32)
     mask = window_key_mask(rng, t, 49)
-    x = ad.Tensor(z.copy(), requires_grad=True)
+    x = ad.Tensor(qkv.copy(), requires_grad=True)
     with ad.Tape():
-        ad.backward(ad.tensor_sum(ad.mul(ad.softmax(x, axis=-1, mask=mask), ad.Tensor(w.copy()))))
-    s = softmax_formula(z, -1, mask)
-    assert x.grad.tobytes() == (s * (w - (w * s).sum(axis=-1, keepdims=True))).tobytes()
+        ad.backward(ad.tensor_sum(ad.mul(ad.attention_weights(x, 0.25, mask), ad.Tensor(w.copy()))))
+    s = softmax_formula(attention_logits(qkv, 0.25), -1, mask)
+    dl = s * (w - (w * s).sum(axis=-1, keepdims=True)) * 0.25
+    want = np.zeros_like(qkv)
+    want[0] = dl @ qkv[1] + 0.0
+    want[1] = np.swapaxes(np.swapaxes(qkv[0], -1, -2) @ dl, -1, -2) + 0.0
+    assert x.grad.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +537,9 @@ def test_off_tape_forward_peaks_stay_near_output_size():
     for dtype in (np.float32, np.float64):
         x = ad.Tensor(rng.normal(size=1 << 20).astype(dtype))
         assert traced_peak(ad.gelu, x) <= 1.5 * x.data.nbytes
-    z = ad.Tensor(rng.normal(size=(512, 49, 49)).astype(np.float32))
+    qkv = ad.Tensor(rng.normal(size=(3, 512, 49, 16)).astype(np.float32))
     mask = window_key_mask(rng, 512, 49)
-    assert traced_peak(ad.softmax, z, -1, mask) <= 1.5 * z.data.nbytes
+    assert traced_peak(ad.attention_weights, qkv, 0.25, mask) <= 1.5 * 512 * 49 * 49 * 4
 
 
 def test_gelu_f64_forward_peak_below_3x_input():
@@ -796,8 +812,10 @@ def test_backward_releases_each_node():
 # whether it keeps its output). Each backward keeps only the arrays its formula
 # reads: both operands of mul and matmul, linear's x and w (grouped, the copy of
 # w's diagonal blocks instead), layer_norm's gamma, conv2d's weight matrix (a
-# view of w), the output of softmax and log_softmax. slice keeps its source,
-# whose layout the gradient buffer copies.
+# view of w), the q/k/v stack of attention_weights (q and k are views of it),
+# the output of softmax, log_softmax and attention_weights. slice keeps its
+# source only when the source is not C-contiguous, whose layout the gradient
+# buffer then copies.
 RETENTION_CASES = {
     "add": ([(2, 3), (1, 3)], ad.add, [False, False], False),
     "mul": ([(2, 3), (2, 3)], ad.mul, [True, True], False),
@@ -806,13 +824,14 @@ RETENTION_CASES = {
     "transpose": ([(2, 3, 4)], lambda a: ad.transpose(a, (2, 0, 1)), [False], False),
     "pad": ([(2, 3)], lambda a: ad.pad(a, ((1, 0), (0, 2))), [False], False),
     "sum": ([(2, 3)], lambda a: ad.tensor_sum(a, axis=1), [False], False),
-    "slice": ([(3, 4)], lambda a: a[1:, ::2], [True], False),
-    "unstack": ([(2, 3)], ad.unstack, [False], False),
+    "slice": ([(3, 4)], lambda a: a[1:, ::2], [False], False),
+    "slice_strided": ([(3, 4)], lambda a: ad.transpose(a, (1, 0))[1:, ::2], [True], False),
     "matmul": ([(2, 3), (3, 4)], ad.matmul, [True, True], False),
     "linear": ([(2, 3, 4), (4, 5), (5,)], ad.linear, [True, True, False], False),
     "linear_grouped": ([(2, 3, 2), (4, 8), (8,)], lambda x, w, b: ad.linear(x, w, b, groups=2),
                        [True, False, False], False),
     "softmax": ([(2, 5)], ad.softmax, [False], True),
+    "attention_weights": ([(3, 2, 4, 3)], lambda a: ad.attention_weights(a, 0.5), [True], True),
     "log_softmax": ([(2, 5)], ad.log_softmax, [False], True),
     "gelu": ([(2, 5)], ad.gelu, [False], False),
     "layer_norm": ([(2, 5), (5,), (5,)], ad.layer_norm, [False, True, False], False),
@@ -985,50 +1004,6 @@ def test_slice_takes_numpy_ints_none_and_ellipsis():
     assert t.grad.sum() == 3.0 and (t.grad[1, :, 2] == 1.0).all()
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_unstack_backward_equals_summed_slices_bitwise(dtype):
-    rng = np.random.default_rng(48)
-    data = rng.normal(size=(3, 4, 5, 6)).astype(dtype)
-    ws = [rng.normal(size=data.shape[1:]).astype(dtype) for _ in range(3)]
-    ws[0].reshape(-1)[::3] = -0.0  # hands part 0 some -0.0 gradients
-    grads = []
-    for split in (ad.unstack, lambda t: tuple(t[i] for i in range(len(t.data)))):
-        t = ad.Tensor(data.copy(), requires_grad=True)
-        with ad.Tape():
-            parts = split(t)
-            loss = ad.tensor_sum(ad.mul(ad.gelu(parts[0]), ad.Tensor(ws[0])))
-            for part, w in zip(parts[1:], ws[1:]):
-                loss = ad.add(loss, ad.tensor_sum(ad.mul(part, ad.Tensor(w))))
-            ad.backward(loss)
-        assert [p.data.tobytes() for p in parts] == [data[i].tobytes() for i in range(3)]
-        grads.append(t.grad)
-    assert grads[0].dtype == dtype
-    assert grads[0].tobytes() == grads[1].tobytes()
-
-
-@pytest.mark.parametrize("used", [0, 1, 2])
-def test_unstack_unused_outputs_contribute_zeros(used):
-    rng = np.random.default_rng(49)
-    t = ad.Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
-    w = rng.normal(size=(2, 4))
-    with ad.Tape():
-        parts = ad.unstack(t)
-        ad.backward(ad.tensor_sum(ad.mul(parts[used], ad.Tensor(w.copy()))))
-    want = np.zeros((3, 2, 4))
-    want[used] = w
-    assert t.grad.tobytes() == want.tobytes()
-
-
-def test_grad_unstack():
-    rng = np.random.default_rng(50)
-    check_grads(lambda ts: ad.tensor_sum(ad.mul(*ad.unstack(ts[0])[::2])), [rng.normal(size=(3, 2, 5))])
-
-
-def test_unstack_needs_rank_2():
-    with pytest.raises(ValueError, match="rank >= 2"):
-        ad.unstack(ad.Tensor(np.arange(3.0), requires_grad=True))
-
-
 def test_grad_sum_mean_axes():
     rng = np.random.default_rng(25)
     a = rng.normal(size=(3, 4, 2))
@@ -1045,11 +1020,13 @@ def test_grad_softmax_and_log_softmax():
 
 
 def test_grad_softmax_masked():
+    # attention_weights, with and without a key mask
     rng = np.random.default_rng(27)
-    a = rng.normal(size=(3, 4))
-    mask = np.array([[True, True, True, False]] * 3)
-    w = rng.normal(size=(3, 4))
-    check_grads(lambda ts: ad.tensor_sum(ad.mul(ad.softmax(ts[0], axis=1, mask=mask), ad.Tensor(w.copy()))), [a])
+    qkv = rng.normal(size=(3, 2, 4, 3))
+    w = rng.normal(size=(2, 4, 4))
+    for mask in (np.array([[[True, True, True, False]], [[True, False, True, True]]]), None):
+        check_grads(lambda ts: ad.tensor_sum(ad.mul(ad.attention_weights(ts[0], 0.7, mask), ad.Tensor(w.copy()))),
+                    [qkv])
 
 
 def test_grad_gelu():

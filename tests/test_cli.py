@@ -372,13 +372,15 @@ def test_config_errors(tmp_path):
         load("[nope]\nx = 1\n")
     with pytest.raises(ValueError, match=rf"^{bad}: \[train\] base_lr"):
         load("[train]\nbase_lr = fast\n")
-    with pytest.raises(ValueError, match=rf"^{bad}: depths has 3 entries for 2 stages$"):
+    with pytest.raises(ValueError, match=rf"^{bad}: \[model\] depths has 3 entries for 2 stages$"):
         load("[model]\nchannels = 8,16\ndepths = 1,2,3\n")
+    with pytest.raises(ValueError, match=rf"^{bad}: \[model\] stage 1: depth must be >= 1, got 0$"):
+        load("[model]\nchannels = 8,16\nhead_widths = 4\ndepths = 1,0\n")
     with pytest.raises(ValueError, match=rf"^{bad}: \[train\] threshold must be in \[0, 1\), got 1.5$"):
         load("[train]\nthreshold = 1.5\n")
     with pytest.raises(ValueError, match=rf"^{bad}: \[data\] train_fraction must be in \(0, 1\), got 0.0$"):
         load("[data]\ntrain_fraction = 0\n")
-    with pytest.raises(ValueError, match=rf"^{bad}: .*mixup_alpha"):  # a TrainConfig range check
+    with pytest.raises(ValueError, match=rf"^{bad}: \[train\] mixup_alpha must be >= 0, got -1.0$"):
         load("[train]\nmixup_alpha = -1\n")
     with pytest.raises(ValueError, match="config file not found"):
         load_run_config(tmp_path / "absent.cfg")
@@ -399,6 +401,63 @@ def test_config_holdout_and_lists(tmp_path):
     assert rc.holdout_tags == frozenset({"hard", "verify"})
     assert [s.window_size for s in rc.model.stages] == [4, 4]  # broadcast
     assert [s.embed_kernel for s in rc.model.stages] == [7, 2]
+
+
+# Each case: (config text, manifest text or None, a.ppm's bytes or None, the
+# file the error must name, what else it must name: the key or row).
+GOOD_PPM = b"P6\n2 2\n255\n" + bytes(12)
+GOOD_MANIFEST = "relative_path,label_name\na.ppm,x\nb.ppm,y\n"
+WITH_MANIFEST = "[model]\ninput_size = 2\n[data]\nmanifest = m.csv\n"
+BAD_INPUTS = {
+    "not_a_boolean": ("[train]\ncosine_decay = maybe\n", None, None, "run.cfg", "[train] cosine_decay"),
+    "empty_list_element": ("[data]\nholdout_tags = a,,b\n", None, None, "run.cfg", "[data] holdout_tags"),
+    "upweight_factor": ("[data]\nupweight_factor = 0\n", None, None, "run.cfg", "[data] upweight_factor"),
+    "bench_batch_size": ("[bench]\nbatch_size = 0\n", None, None, "run.cfg", "[bench] batch_size"),
+    "bench_warmup_iters": ("[bench]\nwarmup_iters = -1\n", None, None, "run.cfg", "[bench] warmup_iters"),
+    "bench_timed_iters": ("[bench]\ntimed_iters = 0\n", None, None, "run.cfg", "[bench] timed_iters"),
+    "input_size": ("[model]\ninput_size = 0\n", None, None, "run.cfg", "[model] input_size"),
+    "num_classes": ("[model]\nnum_classes = 1\n", None, None, "run.cfg", "[model] num_classes"),
+    "input_channels": ("[model]\ninput_channels = 0\n", None, None, "run.cfg", "[model] input_channels"),
+    "ffn_expansion": ("[model]\nffn_expansion = -1\n", None, None, "run.cfg", "[model] ffn_expansion"),
+    "collapsed_stage": ("[model]\ninput_size = 2\nembed_pads = 1\n", None, None, "run.cfg",
+                        "[model] input_size 2 collapses stage 0"),
+    "depths": ("[model]\ndepths = 0\n", None, None, "run.cfg", "[model] stage 0: depth"),
+    "windows": ("[model]\nwindows = 7,7,0,7\n", None, None, "run.cfg", "[model] stage 2: window_size"),
+    "head_widths": ("[model]\nhead_widths = 5\n", None, None, "run.cfg", "[model] stage 0: channels 96"),
+    "embed_kernels": ("[model]\nembed_kernels = 0\n", None, None, "run.cfg", "[model] stage 0: embed_kernel"),
+    "embed_strides": ("[model]\nembed_strides = 0\n", None, None, "run.cfg", "[model] stage 0: embed_stride"),
+    "embed_pads": ("[model]\nembed_pads = -1\n", None, None, "run.cfg", "[model] stage 0: embed_pad"),
+    "no_manifest": ("[train]\nseed = 1\n", None, None, "run.cfg", "[data] manifest"),
+    "empty_train_split": (WITH_MANIFEST + "train_fraction = 0.1\n", GOOD_MANIFEST, GOOD_PPM, "run.cfg",
+                          "[data] train_fraction"),
+    "all_held_out": (WITH_MANIFEST + "holdout_tags = t\n", "relative_path,label_name,tag\na.ppm,x,t\nb.ppm,y,t\n",
+                     GOOD_PPM, "run.cfg", "[data] train_fraction"),
+    "manifest_header": (WITH_MANIFEST, "path,label\na.ppm,x\n", GOOD_PPM, "m.csv", "relative_path,label_name"),
+    "manifest_no_rows": (WITH_MANIFEST, "relative_path,label_name\n", GOOD_PPM, "m.csv", "no samples"),
+    "manifest_no_label": (WITH_MANIFEST, "relative_path,label_name\na.ppm,\n", GOOD_PPM, "m.csv", "row 2"),
+    "manifest_no_path": (WITH_MANIFEST, "relative_path,label_name\nb.ppm,y\n,x\n", GOOD_PPM, "m.csv", "row 3"),
+    "manifest_weight": (WITH_MANIFEST, "relative_path,label_name,weight\na.ppm,x,heavy\n", GOOD_PPM, "m.csv",
+                        "row 2: bad weight 'heavy'"),
+    "ppm_truncated": (WITH_MANIFEST, GOOD_MANIFEST, b"P6\n2 2", "a.ppm", "m.csv row 2"),
+    "ppm_malformed": (WITH_MANIFEST, GOOD_MANIFEST, b"P6\n2 x\n255\n" + bytes(12), "a.ppm", "m.csv row 2"),
+    "ppm_zero_width": (WITH_MANIFEST, GOOD_MANIFEST, b"P6\n0 2\n255\n", "a.ppm", "m.csv row 2"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_is_one_error_line_naming_file_and_key_or_row(case, tmp_path, capsys):
+    config, manifest, ppm, named, key = BAD_INPUTS[case]
+    (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+    if manifest is not None:
+        (tmp_path / "m.csv").write_text(manifest, encoding="utf-8")
+    if ppm is not None:
+        (tmp_path / "a.ppm").write_bytes(ppm)
+        (tmp_path / "b.ppm").write_bytes(GOOD_PPM)
+    assert cli.main(["train", "--config", str(tmp_path / "run.cfg")]) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and str(tmp_path / named) in line and key in line, line
+    assert not list(tmp_path.glob("runs"))  # nothing started
 
 
 def test_upweight_tagged_scales_weights():

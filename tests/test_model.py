@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +407,19 @@ def test_default_forward_shape_and_duplicate_rows():
     probs = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
     assert np.abs(probs.sum(axis=1) - 1).max() < 1e-6
+
+
+def test_default_b1_recorded_forward_node_histogram():
+    # Each of the 8 blocks' two _attend calls records a v slice, one
+    # attention_weights and the attn @ v matmul.
+    m = md.build_model(md.default_config(), seed=0)
+    x = ad.Tensor(np.random.default_rng(15).uniform(0, 1, size=(1, 3, 300, 300)).astype(np.float32))
+    with ad.Tape() as tape:
+        md.forward(m, x)
+    assert Counter(node.op for node in tape.nodes) == {
+        "reshape": 44, "linear": 33, "transpose": 24, "layer_norm": 17, "add": 16, "slice": 12,
+        "gelu": 8, "matmul": 8, "attention_weights": 8, "conv2d": 4, "pad": 4, "scale": 1, "sum": 1}
+    assert len(tape.nodes) == 180
 
 
 def sl_layer_norm(x, gamma, beta, eps=1e-5):

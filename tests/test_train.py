@@ -493,6 +493,22 @@ def test_evaluate_validation():
         tr.evaluate(model, data, 0.5, batch_size=2)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("warmup_epochs", -1, r"warmup_epochs must be in \[0, total_epochs = 30\], got -1"),
+    ("warmup_epochs", 31, r"warmup_epochs must be in \[0, total_epochs = 30\], got 31"),
+    ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("base_lr", 0.0, "base_lr must be > 0, got 0.0"),
+    ("weight_decay", -0.5, "weight_decay must be >= 0, got -0.5"),
+    ("mixup_alpha", -1.0, "mixup_alpha must be >= 0, got -1.0"),
+    ("beta1", 1.0, r"beta1 must be in \(0, 1\), got 1.0"),
+    ("beta2", 0.0, r"beta2 must be in \(0, 1\), got 0.0"),
+    ("eps", 0.0, "eps must be > 0, got 0.0"),
+])
+def test_train_config_error_names_the_key_and_value(key, value, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        tr.TrainConfig(**{key: value}).validate()
+
+
 def ppm_twins(tmp_path, data):
     """data written as P6 files and loaded as bytes, and the same images as float Tensors."""
     rows = []
