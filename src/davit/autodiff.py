@@ -9,14 +9,15 @@ tape can be replayed exactly once; replaying it again without re-running
 the forward pass raises GraphError.
 
 A recorded op's output gets a gradient slot: a Tensor over a zero-stride
-view of the output's shape and dtype, which the node holds and into which
-the consumers' backwards accumulate. A leaf (any tensor no recorded op
-produced) is its own slot. Each op's backward closure keeps its inputs'
-slots and only the arrays its formula reads, never an output or input
-as such: add, scale, reshape, transpose, pad and sum keep shapes only,
-so the caller's last reference to an activation frees it even while the
-tape lives. Gradients therefore land on leaves only; a recorded output's
-own .grad stays None.
+view of the output's shape and dtype, into which the consumers' backwards
+accumulate. A leaf (any tensor no recorded op produced) is its own slot.
+A node holds its op name, its output's slot, its inputs' slots, and a
+closure over only the arrays its formula reads; backward calls the closure
+with the output slot's gradient and the input slots, so no closure holds
+an input or output as such. add, scale, reshape, transpose, pad and sum
+close over no array, so the caller's last reference to an activation frees
+it even while the tape lives. Gradients therefore land on leaves only; a
+recorded output's own .grad stays None.
 
 A tensor's first gradient is kept as is when it is C-contiguous, so one
 array can be the .grad of several tensors; later ones are summed out of
@@ -75,13 +76,18 @@ class GraphError(RuntimeError):
 
 
 class Node:
-    """One recorded op: its name, its output's gradient slot, its backward."""
+    """One recorded op: its name, its output's gradient slot, its inputs' slots,
+    and its backward, a closure over only the arrays its formula reads.
 
-    __slots__ = ("op", "out", "run")
+    backward calls run(g, *ins), with g the output slot's gradient.
+    """
 
-    def __init__(self, op, out, run):
+    __slots__ = ("op", "out", "ins", "run")
+
+    def __init__(self, op, out, ins, run):
         self.op = op
         self.out = out
+        self.ins = ins
         self.run = run
 
 
@@ -108,17 +114,6 @@ def _recording(inputs):
     # True when an op on these inputs appends a tape node; ops keep buffers
     # that only their backward reads (gelu's Phi, layer_norm's x-hat) only then
     return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
-
-
-def _held(*inputs):
-    """The inputs as a recorded op's backward keeps them: their gradient slots.
-
-    Off a tape the inputs come back as they are. Ops read their inputs'
-    data before this rebinding, since a slot's data is a zero-stride view.
-    """
-    if _recording(inputs):
-        return tuple(t if t._slot is None else t._slot for t in inputs)
-    return inputs
 
 
 _MOVE_OPS = frozenset(("reshape", "transpose", "slice", "pad"))
@@ -193,16 +188,15 @@ class Tensor:
             if isinstance(part, bool) or not isinstance(part, (int, np.integer, slice, type(None), type(...))):
                 raise IndexError(f"tensor indices must be ints, slices, None or Ellipsis, got {part!r}")
         raw = self.data[idx]
-        raw_shape, shape, dtype = raw.shape, self.shape, self.dtype
+        raw_shape = raw.shape
         out_data = raw if raw.ndim else raw.reshape(1)
         like = None if self.data.flags.c_contiguous else self.data  # kept for its layout only
-        (src,) = _held(self)
 
-        def run(g):
+        def run(g, src):
             if src._owned is not None and src._owned() is src.grad and g.dtype == src.grad.dtype:
                 src.grad[idx] += g.reshape(raw_shape)  # an array src owns: add into the region in place
                 return
-            buf = np.zeros(shape, dtype) if like is None else np.zeros_like(like)
+            buf = np.zeros(src.shape, src.dtype) if like is None else np.zeros_like(like)
             buf[idx] = g.reshape(raw_shape)
             _accum(src, buf)
 
@@ -237,7 +231,8 @@ def _make(op, out_data, inputs, run):
         out.requires_grad = True
         out._tape = _TAPE_STACK[-1]
         out._slot = Tensor(np.broadcast_to(np.zeros((), out.dtype), out.shape), requires_grad=True)
-        out._tape.nodes.append(Node(op, out._slot, run))
+        ins = tuple(t if t._slot is None else t._slot for t in inputs)
+        out._tape.nodes.append(Node(op, out._slot, ins, run))
     return out
 
 
@@ -274,7 +269,7 @@ def backward(loss):
     while nodes:
         node = nodes.pop()
         if node.out.grad is not None:
-            node.run(node.out.grad)
+            node.run(node.out.grad, *node.ins)
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +332,17 @@ def trunc_normal(shape, mean=0.0, std=1.0, *, seed=None, rng=None, requires_grad
 
 
 def add(a, b):
-    out_data = a.data + b.data
-    a, b = _held(a, b)
-
-    def run(g):
+    def run(g, a, b):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    return _make("add", out_data, (a, b), run)
+    return _make("add", a.data + b.data, (a, b), run)
 
 
 def mul(a, b):
     a_data, b_data = a.data, b.data
-    a, b = _held(a, b)
 
-    def run(g):
+    def run(g, a, b):
         _accum(a, _unbroadcast(g * b_data, a.shape))
         _accum(b, _unbroadcast(g * a_data, b.shape))
 
@@ -360,24 +351,18 @@ def mul(a, b):
 
 def scale(t, c):
     c = float(c)
-    out_data = t.data * c
-    (t,) = _held(t)
 
-    def run(g):
+    def run(g, t):
         _accum(t, g * c)
 
-    return _make("scale", out_data, (t,), run)
+    return _make("scale", t.data * c, (t,), run)
 
 
 def reshape(t, shape):
-    in_shape = t.shape
-    out_data = t.data.reshape(shape)
-    (t,) = _held(t)
+    def run(g, t):
+        _accum(t, g.reshape(t.shape))
 
-    def run(g):
-        _accum(t, g.reshape(in_shape))
-
-    return _make("reshape", out_data, (t,), run)
+    return _make("reshape", t.data.reshape(shape), (t,), run)
 
 
 def transpose(t, axes):
@@ -385,13 +370,11 @@ def transpose(t, axes):
     if sorted(axes) != list(range(t.ndim)):
         raise ValueError(f"invalid permutation {axes} for rank {t.ndim}")
     inv = tuple(np.argsort(axes))
-    out_data = t.data.transpose(axes)
-    (t,) = _held(t)
 
-    def run(g):
+    def run(g, t):
         _accum(t, g.transpose(inv))
 
-    return _make("transpose", out_data, (t,), run)
+    return _make("transpose", t.data.transpose(axes), (t,), run)
 
 
 def pad(t, pad_width):
@@ -402,32 +385,26 @@ def pad(t, pad_width):
     if any(lo < 0 or hi < 0 for lo, hi in pad_width):
         raise ValueError("pad amounts must be >= 0")
     sl = tuple(slice(lo, lo + s) for (lo, _), s in zip(pad_width, t.shape))
-    out_data = np.pad(t.data, pad_width)
-    (t,) = _held(t)
 
-    def run(g):
+    def run(g, t):
         _accum(t, g[sl])
 
-    return _make("pad", out_data, (t,), run)
+    return _make("pad", np.pad(t.data, pad_width), (t,), run)
 
 
 def tensor_sum(t, axis=None, keepdims=False):
-    in_shape = t.shape
     if axis is None:
         axes = tuple(range(t.ndim))
     else:
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
         axes = tuple(a % t.ndim for a in axes)
-    out_data = t.data.sum(axis=axes, keepdims=keepdims)
-    (t,) = _held(t)
 
-    def run(g):
+    def run(g, t):
         if not keepdims:
-            kshape = tuple(1 if i in axes else s for i, s in enumerate(in_shape))
-            g = g.reshape(kshape)
-        _accum(t, np.broadcast_to(g, in_shape))
+            g = g.reshape(tuple(1 if i in axes else s for i, s in enumerate(t.shape)))
+        _accum(t, np.broadcast_to(g, t.shape))
 
-    return _make("sum", out_data, (t,), run)
+    return _make("sum", t.data.sum(axis=axes, keepdims=keepdims), (t,), run)
 
 
 def tensor_mean(t, axis=None, keepdims=False):
@@ -454,9 +431,8 @@ def matmul(a, b):
         raise ValueError(f"matmul extents disagree: {a.shape} @ {b.shape}")
 
     a_data, b_data = a.data, b.data
-    a, b = _held(a, b)
 
-    def run(g):
+    def run(g, a, b):
         _accum(a, g @ np.swapaxes(b_data, -1, -2))
         _accum(b, np.swapaxes(a_data, -1, -2) @ g)
 
@@ -491,9 +467,8 @@ def linear(x, w, b, groups=1):
         b_data = b_data.reshape(parts, groups, kg).transpose(1, 0, 2).reshape(groups, 1, ng)
     out_data = x2 @ w_data
     out_data += b_data
-    x, w, b = _held(x, w, b)
 
-    def run(g):
+    def run(g, x, w, b):
         g2 = g.reshape(lead + (-1, ng))
         dw, db = np.swapaxes(x2, -1, -2) @ g2, g2.sum(axis=-2)
         if groups > 1:  # back to w's and b's layouts
@@ -515,9 +490,8 @@ def softmax(t, axis=-1):
     """Stable softmax along one axis."""
     e = np.exp(t.data - t.data.max(axis=axis, keepdims=True))
     s = e / e.sum(axis=axis, keepdims=True)
-    (t,) = _held(t)
 
-    def run(g):
+    def run(g, t):
         _accum(t, s * (g - (g * s).sum(axis=axis, keepdims=True)))
 
     return _make("softmax", s, (t,), run)
@@ -549,9 +523,8 @@ def attention_weights(qkv, scale, mask=None):
         np.subtract(zb, zb.max(axis=-1, keepdims=True), out=sb)
         np.exp(sb, out=sb)
         sb /= sb.sum(axis=-1, keepdims=True)
-    (qkv,) = _held(qkv)
 
-    def run(g):
+    def run(g, qkv):
         dl = s * (g - (g * s).sum(axis=-1, keepdims=True))
         dl *= scale
         buf = np.zeros(qkv.shape, qkv.dtype)
@@ -565,9 +538,8 @@ def attention_weights(qkv, scale, mask=None):
 def log_softmax(t, axis=-1):
     z = t.data - t.data.max(axis=axis, keepdims=True)
     out_data = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    (t,) = _held(t)
 
-    def run(g):
+    def run(g, t):
         _accum(t, g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
 
     return _make("log_softmax", out_data, (t,), run)
@@ -586,9 +558,8 @@ def gelu(t):
     """
     x = t.data
     out_data, d = _gelu_blocks(x, _erf_phi if x.dtype == np.float64 else _as_phi, _recording((t,)))
-    (t,) = _held(t)
 
-    def run(g):
+    def run(g, t):
         _accum(t, np.multiply(d, g, out=d))
 
     return _make("gelu", out_data, (t,), run)
@@ -684,9 +655,8 @@ def layer_norm(t, gamma, beta, eps=1e-5):
         xhat = xhat.reshape(t.shape)
         inv = inv.reshape(t.shape[:-1] + (1,))
     gamma_data = gamma.data
-    t, gamma, beta = _held(t, gamma, beta)
 
-    def run(g):
+    def run(g, t, gamma, beta):
         dxhat, prod = g * gamma_data, g * xhat
         _accum(gamma, prod.reshape(-1, n).sum(axis=0), fresh=True)
         _accum(beta, g.reshape(-1, n).sum(axis=0), fresh=True)
@@ -751,9 +721,8 @@ def conv2d(x, w, b, stride=1, pad=0):
     wmat = w.data.reshape(cout, -1)
     out_data = cols @ wmat.T
     out_data += b.data
-    x, w, b = _held(x, w, b)
 
-    def run(g):
+    def run(g, x, w, b):
         gmat = g.reshape(-1, cout)
         _accum(w, (gmat.T @ cols).reshape(w.shape), fresh=True)
         _accum(b, g.sum(axis=0).reshape(-1, cout).sum(axis=0), fresh=True)  # batch, then pixels, as a broadcast add sums

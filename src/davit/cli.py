@@ -49,6 +49,9 @@ def _load_splits(rc, config):
                                      holdout_tags=rc.holdout_tags)
     if len(train_ds) == 0:  # split_dataset leaves an untagged sample to validation
         raise CliError(f"{config}: [data] train_fraction and holdout_tags leave the train split empty")
+    if len(ds.class_names) != rc.model.num_classes:
+        raise CliError(f"{rc.manifest}: {len(ds.class_names)} classes, "
+                       f"but [model] num_classes = {rc.model.num_classes}")
     return train_ds, val_ds
 
 

@@ -186,6 +186,8 @@ def _run_config(parser, cfg_path, seed, threshold) -> RunConfig:
         raise ValueError(f"[train] threshold must be in [0, 1), got {rc.threshold}")
     if not 0.0 < rc.train_fraction < 1.0:
         raise ValueError(f"[data] train_fraction must be in (0, 1), got {rc.train_fraction}")
+    if rc.split_seed < 0:
+        raise ValueError(f"[data] split_seed must be >= 0, got {rc.split_seed}")
     if rc.upweight_factor <= 0:
         raise ValueError(f"[data] upweight_factor must be positive, got {rc.upweight_factor}")
     if rc.bench_batch_size < 1:

@@ -36,6 +36,7 @@ class TrainConfig:
 
     def validate(self):
         for key, ok, want in (
+                ("total_epochs", self.total_epochs >= 1, ">= 1"),
                 ("warmup_epochs", 0 <= self.warmup_epochs <= self.total_epochs,
                  f"in [0, total_epochs = {self.total_epochs}]"),
                 ("batch_size", self.batch_size >= 1, ">= 1"),
@@ -44,7 +45,8 @@ class TrainConfig:
                 ("mixup_alpha", self.mixup_alpha >= 0, ">= 0"),
                 ("beta1", 0 < self.beta1 < 1, "in (0, 1)"),
                 ("beta2", 0 < self.beta2 < 1, "in (0, 1)"),
-                ("eps", self.eps > 0, "> 0")):
+                ("eps", self.eps > 0, "> 0"),
+                ("seed", self.seed >= 0, ">= 0")):
             if not ok:
                 raise ValueError(f"{key} must be {want}, got {getattr(self, key)}")
 

@@ -797,9 +797,9 @@ def test_backward_releases_each_node():
     run = first.run
     released = []
 
-    def probe(g):
+    def probe(g, *ins):
         released.append(middle_data() is None)
-        run(g)
+        run(g, *ins)
 
     first.run = probe
     del first
@@ -873,6 +873,25 @@ def test_tape_keeps_only_what_backward_reads(name):
     _, want = recorded_op_grads(shapes, op, drop=False)
     for got, ref in zip(grads, want):
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", RETENTION_CASES)
+def test_backward_closures_hold_no_tensor(name):
+    # the node hands run its inputs' slots, so a closure holds arrays and shapes only
+    shapes, op, _, _ = RETENTION_CASES[name]
+    leaves = [ad.Tensor(np.ones(s), requires_grad=True) for s in shapes]
+    with ad.Tape() as tape:
+        inputs = [ad.scale(t, 1.0) for t in leaves]
+        op(*inputs)
+    nodes = tape.nodes[len(inputs):]
+    assert nodes
+    for node in nodes:
+        for cell in node.run.__closure__ or ():
+            try:
+                held = cell.cell_contents
+            except ValueError:  # a name the op binds only on another path (linear's groups > 1)
+                continue
+            assert not isinstance(held, ad.Tensor), node.op
 
 
 def test_recorded_outputs_keep_no_grad():

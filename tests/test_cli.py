@@ -412,6 +412,9 @@ BAD_INPUTS = {
     "not_a_boolean": ("[train]\ncosine_decay = maybe\n", None, None, "run.cfg", "[train] cosine_decay"),
     "empty_list_element": ("[data]\nholdout_tags = a,,b\n", None, None, "run.cfg", "[data] holdout_tags"),
     "upweight_factor": ("[data]\nupweight_factor = 0\n", None, None, "run.cfg", "[data] upweight_factor"),
+    "seed": ("[train]\nseed = -1\n", None, None, "run.cfg", "[train] seed"),
+    "total_epochs": ("[train]\nwarmup_epochs = 0\ntotal_epochs = 0\n", None, None, "run.cfg", "[train] total_epochs"),
+    "split_seed": ("[data]\nsplit_seed = -3\n", None, None, "run.cfg", "[data] split_seed"),
     "bench_batch_size": ("[bench]\nbatch_size = 0\n", None, None, "run.cfg", "[bench] batch_size"),
     "bench_warmup_iters": ("[bench]\nwarmup_iters = -1\n", None, None, "run.cfg", "[bench] warmup_iters"),
     "bench_timed_iters": ("[bench]\ntimed_iters = 0\n", None, None, "run.cfg", "[bench] timed_iters"),
@@ -432,6 +435,8 @@ BAD_INPUTS = {
                           "[data] train_fraction"),
     "all_held_out": (WITH_MANIFEST + "holdout_tags = t\n", "relative_path,label_name,tag\na.ppm,x,t\nb.ppm,y,t\n",
                      GOOD_PPM, "run.cfg", "[data] train_fraction"),
+    "class_count": (WITH_MANIFEST.replace("[data]", "num_classes = 3\n[data]"), GOOD_MANIFEST, GOOD_PPM, "m.csv",
+                    "2 classes, but [model] num_classes = 3"),
     "manifest_header": (WITH_MANIFEST, "path,label\na.ppm,x\n", GOOD_PPM, "m.csv", "relative_path,label_name"),
     "manifest_no_rows": (WITH_MANIFEST, "relative_path,label_name\n", GOOD_PPM, "m.csv", "no samples"),
     "manifest_no_label": (WITH_MANIFEST, "relative_path,label_name\na.ppm,\n", GOOD_PPM, "m.csv", "row 2"),
@@ -444,20 +449,38 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", BAD_INPUTS)
-def test_bad_input_is_one_error_line_naming_file_and_key_or_row(case, tmp_path, capsys):
-    config, manifest, ppm, named, key = BAD_INPUTS[case]
+def run_bad_input(tmp_path, capsys, case, command="train", *flags):
+    """Write BAD_INPUTS[case]'s files, run the command on them, return its one error line."""
+    config, manifest, ppm, _, _ = BAD_INPUTS[case]
     (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
     if manifest is not None:
         (tmp_path / "m.csv").write_text(manifest, encoding="utf-8")
     if ppm is not None:
         (tmp_path / "a.ppm").write_bytes(ppm)
         (tmp_path / "b.ppm").write_bytes(GOOD_PPM)
-    assert cli.main(["train", "--config", str(tmp_path / "run.cfg")]) == 1
-    captured = capsys.readouterr()
-    (line,) = captured.err.splitlines()
-    assert line.startswith("error: ") and str(tmp_path / named) in line and key in line, line
+    assert cli.main([command, "--config", str(tmp_path / "run.cfg"), *flags]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: "), line
     assert not list(tmp_path.glob("runs"))  # nothing started
+    return line
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_is_one_error_line_naming_file_and_key_or_row(case, tmp_path, capsys):
+    _, _, _, named, key = BAD_INPUTS[case]
+    line = run_bad_input(tmp_path, capsys, case)
+    assert str(tmp_path / named) in line and key in line, line
+
+
+def test_eval_checks_the_class_count(tmp_path, capsys):
+    # eval loads the splits as train does, before it reads the checkpoint
+    line = run_bad_input(tmp_path, capsys, "class_count", "eval", "--init-from", "none.ckpt")
+    assert str(tmp_path / "m.csv") in line and "2 classes, but [model] num_classes = 3" in line, line
+
+
+def test_seed_flag_is_checked_as_the_key(tmp_path, capsys):
+    line = run_bad_input(tmp_path, capsys, "no_manifest", "train", "--seed", "-1")
+    assert str(tmp_path / "run.cfg") in line and "[train] seed must be >= 0, got -1" in line, line
 
 
 def test_upweight_tagged_scales_weights():

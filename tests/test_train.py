@@ -494,6 +494,7 @@ def test_evaluate_validation():
 
 
 @pytest.mark.parametrize("key, value, message", [
+    ("total_epochs", 0, "total_epochs must be >= 1, got 0"),
     ("warmup_epochs", -1, r"warmup_epochs must be in \[0, total_epochs = 30\], got -1"),
     ("warmup_epochs", 31, r"warmup_epochs must be in \[0, total_epochs = 30\], got 31"),
     ("batch_size", 0, "batch_size must be >= 1, got 0"),
@@ -503,6 +504,7 @@ def test_evaluate_validation():
     ("beta1", 1.0, r"beta1 must be in \(0, 1\), got 1.0"),
     ("beta2", 0.0, r"beta2 must be in \(0, 1\), got 0.0"),
     ("eps", 0.0, "eps must be > 0, got 0.0"),
+    ("seed", -1, "seed must be >= 0, got -1"),
 ])
 def test_train_config_error_names_the_key_and_value(key, value, message):
     with pytest.raises(ValueError, match=rf"^{message}$"):
