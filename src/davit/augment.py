@@ -165,7 +165,7 @@ def sample_lambda(alpha, rng):
     """Mixup coefficient draw: Beta(alpha, alpha), degenerating to a
     fair coin on {0, 1} at alpha == 0 (the Beta limit)."""
     if alpha < 0:
-        raise ValueError("mixup alpha must be >= 0")
+        raise ValueError(f"mixup alpha must be >= 0, got {alpha}")
     if alpha == 0:
         return float(rng.integers(0, 2))
     return float(rng.beta(alpha, alpha))
@@ -174,7 +174,7 @@ def sample_lambda(alpha, rng):
 def weighted_sampler(ds: Dataset, epoch_length, seed):
     """Indices drawn with replacement, probability proportional to weight."""
     if epoch_length < 1:
-        raise ValueError("epoch_length must be >= 1")
+        raise ValueError(f"epoch_length must be >= 1, got {epoch_length}")
     weights = np.array([s.weight for s in ds.samples], dtype=np.float64)
     if (weights <= 0).any():
         bad = int(np.argmax(weights <= 0))

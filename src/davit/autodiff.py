@@ -314,7 +314,7 @@ def trunc_normal(shape, mean=0.0, std=1.0, *, seed=None, rng=None, requires_grad
     """Normal draws resampled until every value lies within mean +/- 2*std."""
     shape = _checked_shape(shape)
     if std < 0:
-        raise ValueError("std must be >= 0")
+        raise ValueError(f"std must be >= 0, got {std}")
     if rng is None:
         rng = np.random.default_rng(seed)
     vals = rng.normal(mean, std, size=shape)
@@ -383,7 +383,7 @@ def pad(t, pad_width):
     if len(pad_width) != t.ndim:
         raise ValueError(f"pad_width has {len(pad_width)} pairs for rank {t.ndim}")
     if any(lo < 0 or hi < 0 for lo, hi in pad_width):
-        raise ValueError("pad amounts must be >= 0")
+        raise ValueError(f"pad amounts must be >= 0, got {pad_width}")
     sl = tuple(slice(lo, lo + s) for (lo, _), s in zip(pad_width, t.shape))
 
     def run(g, t):
@@ -680,11 +680,11 @@ def layer_norm(t, gamma, beta, eps=1e-5):
 def _pad4(pad_spec):
     if isinstance(pad_spec, int):
         if pad_spec < 0:
-            raise ValueError("pad must be >= 0")
+            raise ValueError(f"pad must be >= 0, got {pad_spec}")
         return (pad_spec,) * 4
     top, bottom, left, right = (int(p) for p in pad_spec)
     if min(top, bottom, left, right) < 0:
-        raise ValueError("pad amounts must be >= 0")
+        raise ValueError(f"pad amounts must be >= 0, got {(top, bottom, left, right)}")
     return top, bottom, left, right
 
 
@@ -706,7 +706,7 @@ def conv2d(x, w, b, stride=1, pad=0):
     if cin != cin_w or b.shape != (cout,):
         raise ValueError(f"conv2d needs x (..., {cin_w}) and b ({cout},), got {x.shape} and {b.shape}")
     if stride < 1:
-        raise ValueError("stride must be >= 1")
+        raise ValueError(f"stride must be >= 1, got {stride}")
     top, bottom, left, right = _pad4(pad)
     hp, wp = h + top + bottom, wd + left + right
     if k > hp or k > wp:

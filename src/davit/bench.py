@@ -33,6 +33,15 @@ def default_environment(model=None, batch=1) -> str:
 
 
 @dataclass
+class BenchConfig:
+    """The [bench] keys of a run config."""
+    batch_size: int = 1
+    warmup_iters: int = 20
+    timed_iters: int = 100
+    environment: str = None  # None writes default_environment()
+
+
+@dataclass
 class BenchReport:
     model_name: str
     param_count: int
@@ -59,8 +68,8 @@ class BenchReport:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
 
 
-def measure_fps(model, input_shape=None, warmup_iters: int = 20,
-                timed_iters: int = 100, seed: int = 0,
+def measure_fps(model, input_shape=None, warmup_iters: int = BenchConfig.warmup_iters,
+                timed_iters: int = BenchConfig.timed_iters, seed: int = 0,
                 model_name: str = "model", environment=None,
                 _clock=time.perf_counter) -> BenchReport:
     """Run warmup then timed forward passes and report throughput.

@@ -23,7 +23,7 @@ from .dataset import load_dataset, split_dataset
 from .train import OptimizerState, evaluate, lr_schedule, train_epoch
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Fatal command failure carrying a one-line diagnostic."""
 
 
@@ -38,19 +38,19 @@ def upweight_tagged(ds, tag, factor) -> int:
 
 
 def _load_splits(rc, config):
-    if rc.manifest is None:
+    if rc.data.manifest is None:
         raise CliError(f"{config}: config is missing [data] manifest")
-    ds = load_dataset(rc.manifest)
+    ds = load_dataset(rc.data.manifest)
     want = (rc.model.input_channels, rc.model.input_size, rc.model.input_size)
     if ds[0].image.shape != want:
-        raise CliError(f"{rc.manifest}: images are {'x'.join(map(str, ds[0].image.shape))}, "
+        raise CliError(f"{rc.data.manifest}: images are {'x'.join(map(str, ds[0].image.shape))}, "
                        f"but [model] expects {'x'.join(map(str, want))}")
-    train_ds, val_ds = split_dataset(ds, rc.train_fraction, rc.split_seed,
-                                     holdout_tags=rc.holdout_tags)
+    train_ds, val_ds = split_dataset(ds, rc.data.train_fraction, rc.data.split_seed,
+                                     holdout_tags=rc.data.holdout_tags)
     if len(train_ds) == 0:  # split_dataset leaves an untagged sample to validation
         raise CliError(f"{config}: [data] train_fraction and holdout_tags leave the train split empty")
     if len(ds.class_names) != rc.model.num_classes:
-        raise CliError(f"{rc.manifest}: {len(ds.class_names)} classes, "
+        raise CliError(f"{rc.data.manifest}: {len(ds.class_names)} classes, "
                        f"but [model] num_classes = {rc.model.num_classes}")
     return train_ds, val_ds
 
@@ -65,18 +65,18 @@ def _check_config_hash(meta, model_cfg, force):
 
 def cmd_train(args, rc) -> int:
     train_ds, val_ds = _load_splits(rc, args.config)
-    if rc.upweight_tag is not None:
-        hits = upweight_tagged(train_ds, rc.upweight_tag, rc.upweight_factor)
-        print(f"upweighted {hits} samples tagged '{rc.upweight_tag}' "
-              f"by {rc.upweight_factor}", file=sys.stderr)
-    policy = parse_policy(rc.policy_path) if rc.policy_path is not None else None
+    if rc.data.upweight_tag is not None:
+        hits = upweight_tagged(train_ds, rc.data.upweight_tag, rc.data.upweight_factor)
+        print(f"upweighted {hits} samples tagged '{rc.data.upweight_tag}' "
+              f"by {rc.data.upweight_factor}", file=sys.stderr)
+    policy = parse_policy(rc.data.policy) if rc.data.policy is not None else None
 
     model = md.build_model(rc.model, seed=rc.train.seed)
     state = OptimizerState()  # finetuning restarts the optimizer
     if args.init_from is not None:
         _, meta = ck.load_checkpoint(args.init_from, model)
         _check_config_hash(meta, rc.model, args.force)
-        report0 = evaluate(model, val_ds, rc.threshold)
+        report0 = evaluate(model, val_ds, rc.train.threshold)
         print(f"resumed from {args.init_from}: epoch {meta.epoch}, "
               f"recorded val acc {meta.val_accuracy!r}, "
               f"epoch-0 val acc {report0.accuracy!r}", file=sys.stderr)
@@ -91,7 +91,7 @@ def cmd_train(args, rc) -> int:
         for epoch in range(rc.train.total_epochs):
             loss, acc = train_epoch(model, train_ds, rc.train, epoch, state,
                                     policy=policy)
-            report = evaluate(model, val_ds, rc.threshold)
+            report = evaluate(model, val_ds, rc.train.threshold)
             mf.write(json.dumps({
                 "epoch": epoch,
                 "lr": lr_schedule(epoch, rc.train),
@@ -122,7 +122,7 @@ def cmd_eval(args, rc) -> int:
     model = md.build_model(rc.model, seed=rc.train.seed)
     _, meta = ck.load_checkpoint(args.init_from, model)
     _check_config_hash(meta, rc.model, args.force)
-    report = evaluate(model, val_ds, rc.threshold)
+    report = evaluate(model, val_ds, rc.train.threshold)
     doc = json.dumps(report.to_dict(), indent=2)
     out = Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,13 +133,13 @@ def cmd_eval(args, rc) -> int:
 
 def cmd_bench(args, rc) -> int:
     model = md.build_model(rc.model, seed=rc.train.seed)
-    shape = (rc.bench_batch_size, rc.model.input_channels,
+    shape = (rc.bench.batch_size, rc.model.input_channels,
              rc.model.input_size, rc.model.input_size)
     report = bh.measure_fps(model, shape,
-                            warmup_iters=rc.bench_warmup_iters,
-                            timed_iters=rc.bench_timed_iters,
+                            warmup_iters=rc.bench.warmup_iters,
+                            timed_iters=rc.bench.timed_iters,
                             seed=rc.train.seed, model_name="model",
-                            environment=rc.bench_environment)
+                            environment=rc.bench.environment)
     out = Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "bench.csv").write_text(bh.to_csv([report]), encoding="utf-8")
@@ -189,8 +189,6 @@ def main(argv=None) -> int:
         # every op output is scanned, so an overflow surfaces as NonFiniteError
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args, rc)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
     except ck.CheckpointMismatchError as exc:
         print(f"error: checkpoint mismatch: {exc}", file=sys.stderr)
     except (ValueError, OSError, ad.NonFiniteError) as exc:

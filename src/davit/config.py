@@ -7,24 +7,22 @@ config fails before any long-running work starts, with an error naming the
 file.  `#` starts a comment, and a key left empty takes its default.  Relative
 paths inside the file resolve against the config file's own directory.
 
-The dataclasses own their sections' keys and defaults.  Every `TrainConfig`
-field is a [train] key with that field's type and default.  [model] reads
-the scalar `ModelConfig` fields and one list per `StageConfig` field, all
-defaulting to `model.default_config()`.  The [bench] iteration counts default
-to `bench.measure_fps`'s parameter defaults.  Only [train] threshold and the
-[data], [bench] and [out] keys are declared here.  A key is known when the
-loader reads it; any other key is rejected before values are range-checked.
+Every section but [out] is read from its dataclass.  Each field of
+`TrainConfig`, `DataConfig` and `bench.BenchConfig` is a [train], [data] or
+[bench] key with that field's type and default.  [model] reads the scalar
+`ModelConfig` fields and one list per `StageConfig` field, all defaulting to
+`model.default_config()`.  A key is known when the loader reads it; any other
+key is rejected before values are range-checked.
 """
 
 import configparser
-import inspect
 import math
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import model as md
-from .bench import measure_fps
+from .bench import BenchConfig
 from .dataset import read_text
 from .train import TrainConfig
 
@@ -39,21 +37,22 @@ _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
 
 
 @dataclass
+class DataConfig:
+    manifest: str = None
+    train_fraction: float = 0.8
+    split_seed: int = 0
+    holdout_tags: frozenset = frozenset()
+    upweight_tag: str = None
+    upweight_factor: float = 4.0
+    policy: str = None
+
+
+@dataclass
 class RunConfig:
     model: md.ModelConfig
     train: TrainConfig
-    threshold: float
-    manifest: str        # resolved path, or None when the file names none
-    train_fraction: float
-    split_seed: int
-    holdout_tags: frozenset
-    upweight_tag: str
-    upweight_factor: float
-    policy_path: str
-    bench_batch_size: int
-    bench_warmup_iters: int
-    bench_timed_iters: int
-    bench_environment: str
+    data: DataConfig
+    bench: BenchConfig
     out_dir: str
 
 
@@ -69,6 +68,10 @@ def _parse_list(raw, conv):
     if any(not tok for tok in items):
         raise ValueError(f"empty element in list: {raw!r}")
     return [conv(tok) for tok in items]
+
+
+# field types read by a parser other than the type itself
+_CONVS = {bool: _parse_bool, frozenset: lambda raw: frozenset(_parse_list(raw, str))}
 
 
 def _broadcast(values, n, what):
@@ -99,13 +102,12 @@ class _Section:
         except ValueError as exc:
             raise ValueError(f"[{self.name}] {key}: {exc}") from None
 
-    def get_fields(self, defaults, skip=()):
-        """One key per field of the dataclass instance `defaults`, read with
-        the field's type and defaulting to the field's value there."""
-        convs = {name: _parse_bool if t is bool else t
-                 for name, t in typing.get_type_hints(type(defaults)).items()}
-        return {f.name: self.get(f.name, convs[f.name], getattr(defaults, f.name))
-                for f in fields(defaults) if f.name not in skip}
+    def get_fields(self, defaults, **given):
+        """A copy of the dataclass instance `defaults`, with `given` set and one key
+        per other field, read with the field's type and defaulting to its value."""
+        return type(defaults)(**given, **{
+            name: self.get(name, _CONVS.get(t, t), getattr(defaults, name))
+            for name, t in typing.get_type_hints(type(defaults)).items() if name not in given})
 
 
 def _build_model_config(sec: _Section) -> md.ModelConfig:
@@ -121,7 +123,7 @@ def _build_model_config(sec: _Section) -> md.ModelConfig:
         per_stage[name] = _broadcast(values, n, f"[model] {key}")
     stages = [md.StageConfig(**{name: v[i] for name, v in per_stage.items()})
               for i in range(n)]
-    return md.ModelConfig(stages=stages, **sec.get_fields(default, skip={"stages"}))
+    return sec.get_fields(default, stages=stages)
 
 
 def load_run_config(path, seed=None, threshold=None) -> RunConfig:
@@ -146,54 +148,35 @@ def _run_config(parser, cfg_path, seed, threshold) -> RunConfig:
         if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
 
-    def resolve(p):
-        return None if p is None else str((cfg_path.parent / p))
-
-    tr, da, be = sections["train"], sections["data"], sections["bench"]
-    fps_defaults = inspect.signature(measure_fps).parameters
-    train_cfg = TrainConfig(**tr.get_fields(TrainConfig()))
-    if seed is not None:
-        train_cfg.seed = int(seed)
-    thr = tr.get("threshold", float, 0.5)
-    rc = RunConfig(
-        model=_build_model_config(sections["model"]),
-        train=train_cfg,
-        threshold=thr if threshold is None else float(threshold),
-        manifest=resolve(da.get("manifest", str, None)),
-        train_fraction=da.get("train_fraction", float, 0.8),
-        split_seed=da.get("split_seed", int, 0),
-        holdout_tags=frozenset(da.get("holdout_tags", lambda r: _parse_list(r, str), [])),
-        upweight_tag=da.get("upweight_tag", str, None),
-        upweight_factor=da.get("upweight_factor", float, 4.0),
-        policy_path=resolve(da.get("policy", str, None)),
-        bench_batch_size=be.get("batch_size", int, 1),
-        bench_warmup_iters=be.get("warmup_iters", int, fps_defaults["warmup_iters"].default),
-        bench_timed_iters=be.get("timed_iters", int, fps_defaults["timed_iters"].default),
-        bench_environment=be.get("environment", str, None),
-        out_dir=resolve(sections["out"].get("dir", str, "runs")),
-    )
+    rc = RunConfig(model=_build_model_config(sections["model"]),
+                   train=sections["train"].get_fields(TrainConfig()),
+                   data=sections["data"].get_fields(DataConfig()),
+                   bench=sections["bench"].get_fields(BenchConfig()),
+                   out_dir=sections["out"].get("dir", str, "runs"))
     for section in parser.sections():
         for key in parser[section]:
             if key not in sections[section].served:
                 raise ValueError(f"unknown key '{key}' in [{section}]")
+    if seed is not None:
+        rc.train.seed = int(seed)
+    if threshold is not None:
+        rc.train.threshold = float(threshold)
+    rc.data.manifest, rc.data.policy, rc.out_dir = (
+        None if p is None else str(cfg_path.parent / p)
+        for p in (rc.data.manifest, rc.data.policy, rc.out_dir))
 
-    for section, dataclass_config in (("model", rc.model), ("train", rc.train)):
+    for section in ("model", "train"):
         try:
-            dataclass_config.validate()
+            getattr(rc, section).validate()
         except ValueError as exc:
             raise ValueError(f"[{section}] {exc}") from None
-    if not 0.0 <= rc.threshold < 1.0:
-        raise ValueError(f"[train] threshold must be in [0, 1), got {rc.threshold}")
-    if not 0.0 < rc.train_fraction < 1.0:
-        raise ValueError(f"[data] train_fraction must be in (0, 1), got {rc.train_fraction}")
-    if rc.split_seed < 0:
-        raise ValueError(f"[data] split_seed must be >= 0, got {rc.split_seed}")
-    if rc.upweight_factor <= 0:
-        raise ValueError(f"[data] upweight_factor must be positive, got {rc.upweight_factor}")
-    if rc.bench_batch_size < 1:
-        raise ValueError(f"[bench] batch_size must be at least 1, got {rc.bench_batch_size}")
-    if rc.bench_warmup_iters < 0:
-        raise ValueError(f"[bench] warmup_iters must not be negative, got {rc.bench_warmup_iters}")
-    if rc.bench_timed_iters < 1:
-        raise ValueError(f"[bench] timed_iters must be at least 1, got {rc.bench_timed_iters}")
+    for section, key, ok, want in (
+            ("data", "train_fraction", 0 < rc.data.train_fraction < 1, "in (0, 1)"),
+            ("data", "split_seed", rc.data.split_seed >= 0, ">= 0"),
+            ("data", "upweight_factor", rc.data.upweight_factor > 0, "> 0"),
+            ("bench", "batch_size", rc.bench.batch_size >= 1, ">= 1"),
+            ("bench", "warmup_iters", rc.bench.warmup_iters >= 0, ">= 0"),
+            ("bench", "timed_iters", rc.bench.timed_iters >= 1, ">= 1")):
+        if not ok:
+            raise ValueError(f"[{section}] {key} must be {want}, got {getattr(getattr(rc, section), key)}")
     return rc

@@ -164,6 +164,9 @@ def load_dataset(manifest_path, class_names=None) -> Dataset:
         extras = set(reader.fieldnames) - {"relative_path", "label_name", "tag", "weight"}
         if extras:
             raise ValueError(f"{manifest_path}: unknown manifest columns {sorted(extras)}")
+        twice = [c for c in reader.fieldnames if reader.fieldnames.count(c) > 1]
+        if twice:
+            raise ValueError(f"{manifest_path}: header names column {twice[0]!r} twice")
         rows = list(reader)
     except csv.Error as exc:
         raise ValueError(f"{manifest_path} line {reader.reader.line_num}: {exc}") from None
@@ -174,6 +177,9 @@ def load_dataset(manifest_path, class_names=None) -> Dataset:
         return ValueError(f"{manifest_path} row {idx + 2}: {msg}")  # +2: header is line 1
 
     for idx, row in enumerate(rows):
+        if None in row:  # DictReader files a row's fields past the header's under None
+            raise row_error(idx, f"{len(reader.fieldnames) + len(row[None])} fields, "
+                                 f"but the header has {len(reader.fieldnames)}")
         if not row.get("relative_path") or not row.get("label_name"):
             raise row_error(idx, "missing relative_path or label_name")
 

@@ -84,7 +84,7 @@ class ModelConfig:
     def ffn_hidden(self, channels):
         hidden = int(round(channels * self.ffn_expansion))
         if hidden < 1:
-            raise ValueError("ffn_expansion too small for channel width")
+            raise ValueError(f"ffn_expansion too small for channel width {channels}, got {self.ffn_expansion}")
         return hidden
 
 
@@ -346,7 +346,7 @@ def _forward_chunks(model, parts, w):
                 data = f.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code:
-                raise RuntimeError(f"off-tape forward worker {pid} " + (
+                raise ChildProcessError(f"off-tape forward worker {pid} " + (
                     f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"))
             got = pickle.loads(data)
             if isinstance(got, Exception):

@@ -69,7 +69,7 @@ def generate_dataset(out_dir, num_classes=10, per_class=16, size=32, seed=0):
     """Write per_class images for each class plus manifest.csv; returns the
     manifest path."""
     if num_classes > len(_PALETTE) * len(_SHAPES):
-        raise ValueError("not enough shape/color combinations")
+        raise ValueError(f"not enough shape/color combinations, got num_classes = {num_classes}")
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

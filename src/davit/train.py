@@ -33,6 +33,7 @@ class TrainConfig:
     mixup_alpha: float = 0.2
     seed: int = 0
     cosine_decay: bool = False
+    threshold: float = 0.5  # evaluate rejects predictions below this confidence
 
     def validate(self):
         for key, ok, want in (
@@ -46,7 +47,8 @@ class TrainConfig:
                 ("beta1", 0 < self.beta1 < 1, "in (0, 1)"),
                 ("beta2", 0 < self.beta2 < 1, "in (0, 1)"),
                 ("eps", self.eps > 0, "> 0"),
-                ("seed", self.seed >= 0, ">= 0")):
+                ("seed", self.seed >= 0, ">= 0"),
+                ("threshold", 0 <= self.threshold < 1, "in [0, 1)")):
             if not ok:
                 raise ValueError(f"{key} must be {want}, got {getattr(self, key)}")
 
@@ -108,7 +110,7 @@ def adamw_step(params: dict, state: OptimizerState, cfg: TrainConfig, lr):
     that replaces p.data, and the old array is left as it was.
     """
     if lr <= 0:
-        raise ValueError("lr must be > 0")
+        raise ValueError(f"lr must be > 0, got {lr}")
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t

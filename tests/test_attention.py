@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -320,3 +322,22 @@ def test_params_validation():
         at.spatial_window_attention(ad.zeros((1, 4, 4, 6)), make_params(4, 2, 0), 2)
     with pytest.raises(ValueError, match="window_size"):
         at.spatial_window_attention(ad.zeros((1, 4, 4, 4)), make_params(4, 2, 0), 0)
+
+
+# ---------------------------------------------------------------------------
+# argument checks
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: dataclasses.replace(make_params(4, 2, 0), qkv_bias=ad.zeros((4,))),
+                 r"qkv_bias must have shape \(12,\), got \(4,\)", id="qkv_bias"),
+    pytest.param(lambda: dataclasses.replace(make_params(4, 2, 0), proj_weight=ad.zeros((4, 3))),
+                 r"proj_weight must map C to C, got \(4, 3\)", id="proj_weight"),
+    pytest.param(lambda: dataclasses.replace(make_params(4, 2, 0), proj_bias=ad.zeros((3,))),
+                 r"proj_bias must have shape \(4,\), got \(3,\)", id="proj_bias"),
+    pytest.param(lambda: at.channel_group_attention(ad.zeros((1, 2, 2, 8)), make_params(4, 2, 0)),
+                 "input has 8 channels, params expect 4", id="channel_input"),
+])
+def test_bad_argument_raises_value_error_naming_it(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

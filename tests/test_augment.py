@@ -287,3 +287,18 @@ def test_sampler_deterministic_and_validated():
     assert (a == b).all()
     with pytest.raises(ValueError, match="non-positive weight"):
         ag.weighted_sampler(weighted_dataset([1.0, 0.0]), 10, seed=39)
+
+
+# ---------------------------------------------------------------------------
+# argument checks
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ag.sample_lambda(-0.5, np.random.default_rng(0)),
+                 r"mixup alpha must be >= 0, got -0\.5", id="mixup_alpha"),
+    pytest.param(lambda: ag.weighted_sampler(Dataset([make_sample()]), 0, seed=0),
+                 "epoch_length must be >= 1, got 0", id="epoch_length"),
+])
+def test_bad_argument_raises_value_error_naming_it(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

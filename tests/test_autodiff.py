@@ -1092,3 +1092,39 @@ def test_forward_determinism_bitwise():
     s1 = ad.softmax(ad.Tensor(x.copy()), axis=1).data
     s2 = ad.softmax(ad.Tensor(x.copy()), axis=1).data
     assert (s1 == s2).all()
+
+
+# ---------------------------------------------------------------------------
+# argument checks
+
+
+def _conv(x=(1, 4, 4, 2), w=(3, 2, 2, 2), b=(3,), **kw):
+    return lambda: ad.conv2d(ad.zeros(x), ad.zeros(w), ad.zeros(b), **kw)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ad.zeros((2,)).item(), r"item\(\) needs a single-element tensor, got shape \(2,\)",
+                 id="item"),
+    pytest.param(lambda: ad.zeros(None), "shape must be a sequence of integers, got None", id="shape_type"),
+    pytest.param(lambda: ad.zeros(()), "shape needs at least one extent", id="shape_empty"),
+    pytest.param(lambda: ad.trunc_normal((2,), std=-1.0), r"std must be >= 0, got -1\.0", id="std"),
+    pytest.param(lambda: ad.transpose(ad.zeros((2, 3)), (0, 0)), r"invalid permutation \(0, 0\) for rank 2",
+                 id="transpose_axes"),
+    pytest.param(lambda: ad.pad(ad.zeros((2, 3)), [(0, 0)]), "pad_width has 1 pairs for rank 2",
+                 id="pad_width_rank"),
+    pytest.param(lambda: ad.pad(ad.zeros((2, 3)), [(0, 0), (-1, 0)]),
+                 r"pad amounts must be >= 0, got \(\(0, 0\), \(-1, 0\)\)", id="pad_width_negative"),
+    pytest.param(lambda: ad.layer_norm(ad.zeros((2, 3)), ad.ones((2,)), ad.zeros((3,))),
+                 r"gamma/beta must have shape \(3,\), got \(2,\) and \(3,\)", id="layer_norm_gamma"),
+    pytest.param(_conv(pad=-1), "pad must be >= 0, got -1", id="conv_pad"),
+    pytest.param(_conv(pad=(0, 0, -1, 0)), r"pad amounts must be >= 0, got \(0, 0, -1, 0\)",
+                 id="conv_pad_amounts"),
+    pytest.param(_conv(x=(4, 4, 2)), "conv2d expects rank-4 input and kernel", id="conv_rank"),
+    pytest.param(_conv(w=(3, 2, 2, 1)), r"conv2d kernel must be square, got \(3, 2, 2, 1\)",
+                 id="conv_kernel"),
+    pytest.param(_conv(b=(2,)), r"conv2d needs x \(\.\.\., 2\) and b \(3,\)", id="conv_bias"),
+    pytest.param(_conv(stride=0), "stride must be >= 1, got 0", id="conv_stride"),
+])
+def test_bad_argument_raises_value_error_naming_it(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()

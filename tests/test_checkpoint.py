@@ -394,6 +394,7 @@ def rewrite(path, entry, value):
     ("__meta__.config_hash", [256.0] * 16),
     ("__opt__.t", [1.0, 2.0]),
     ("__opt__.t", [-1.0]),
+    ("__meta__.epoch", None),  # missing
 ])
 def test_bad_metadata_entry_rejected(tmp_path, entry, value):
     path = tmp_path / "m.ckpt"

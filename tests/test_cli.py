@@ -1,8 +1,8 @@
 import csv
-import dataclasses
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -16,6 +16,7 @@ from davit.config import load_run_config
 from davit.dataset import Dataset, Sample
 from davit.train import TrainConfig
 from davit import autodiff as ad
+from test_model import deadline, needs_workers  # noqa: F401 (deadline is a fixture)
 
 BASE_CONFIG = """\
 [model]
@@ -335,11 +336,11 @@ def test_config_defaults(tmp_path):
     rc = load_run_config(cfg)
     assert rc.model == md.default_config()
     assert rc.train == TrainConfig()
-    assert rc.threshold == 0.5
-    assert rc.train_fraction == 0.8 and rc.split_seed == 0
-    assert rc.manifest is None and rc.policy_path is None
-    assert rc.upweight_factor == 4.0 and rc.upweight_tag is None
-    assert (rc.bench_batch_size, rc.bench_warmup_iters, rc.bench_timed_iters) == (1, 20, 100)
+    assert rc.train.threshold == 0.5
+    assert rc.data.train_fraction == 0.8 and rc.data.split_seed == 0
+    assert rc.data.manifest is None and rc.data.policy is None
+    assert rc.data.upweight_factor == 4.0 and rc.data.upweight_tag is None
+    assert (rc.bench.batch_size, rc.bench.warmup_iters, rc.bench.timed_iters) == (1, 20, 100)
     assert rc.out_dir == str(tmp_path / "runs")
 
 
@@ -349,8 +350,9 @@ def test_readme_config_reference_loads_to_defaults(tmp_path):
     (tmp_path / "readme.cfg").write_text(block, encoding="utf-8")
     (tmp_path / "empty.cfg").write_text("", encoding="utf-8")
     rc = load_run_config(tmp_path / "readme.cfg")
-    assert rc.manifest == str(tmp_path / "data/manifest.csv")
-    assert dataclasses.replace(rc, manifest=None) == load_run_config(tmp_path / "empty.cfg")
+    assert rc.data.manifest == str(tmp_path / "data/manifest.csv")
+    rc.data.manifest = None
+    assert rc == load_run_config(tmp_path / "empty.cfg")
 
 
 def test_config_overrides(tmp_path):
@@ -358,7 +360,7 @@ def test_config_overrides(tmp_path):
     cfg.write_text("[train]\nseed = 3\nthreshold = 0.9\n", encoding="utf-8")
     rc = load_run_config(cfg, seed=7, threshold=0.25)
     assert rc.train.seed == 7
-    assert rc.threshold == 0.25
+    assert rc.train.threshold == 0.25
 
 
 def test_config_errors(tmp_path):
@@ -398,7 +400,7 @@ def test_config_holdout_and_lists(tmp_path):
                    "[model]\nchannels = 8,16\nwindows = 4\nhead_widths = 4\n",
                    encoding="utf-8")
     rc = load_run_config(cfg)
-    assert rc.holdout_tags == frozenset({"hard", "verify"})
+    assert rc.data.holdout_tags == frozenset({"hard", "verify"})
     assert [s.window_size for s in rc.model.stages] == [4, 4]  # broadcast
     assert [s.embed_kernel for s in rc.model.stages] == [7, 2]
 
@@ -443,6 +445,10 @@ BAD_INPUTS = {
     "manifest_no_path": (WITH_MANIFEST, "relative_path,label_name\nb.ppm,y\n,x\n", GOOD_PPM, "m.csv", "row 3"),
     "manifest_weight": (WITH_MANIFEST, "relative_path,label_name,weight\na.ppm,x,heavy\n", GOOD_PPM, "m.csv",
                         "row 2: bad weight 'heavy'"),
+    "manifest_repeated_column": (WITH_MANIFEST, "relative_path,label_name,label_name\na.ppm,x,y\n", GOOD_PPM,
+                                 "m.csv", "header names column 'label_name' twice"),
+    "manifest_extra_field": (WITH_MANIFEST, "relative_path,label_name,weight\na.ppm,x,2,5\nb.ppm,y,1\n", GOOD_PPM,
+                             "m.csv", "row 2: 4 fields, but the header has 3"),
     "ppm_truncated": (WITH_MANIFEST, GOOD_MANIFEST, b"P6\n2 2", "a.ppm", "m.csv row 2"),
     "ppm_malformed": (WITH_MANIFEST, GOOD_MANIFEST, b"P6\n2 x\n255\n" + bytes(12), "a.ppm", "m.csv row 2"),
     "ppm_zero_width": (WITH_MANIFEST, GOOD_MANIFEST, b"P6\n0 2\n255\n", "a.ppm", "m.csv row 2"),
@@ -481,6 +487,31 @@ def test_eval_checks_the_class_count(tmp_path, capsys):
 def test_seed_flag_is_checked_as_the_key(tmp_path, capsys):
     line = run_bad_input(tmp_path, capsys, "no_manifest", "train", "--seed", "-1")
     assert str(tmp_path / "run.cfg") in line and "[train] seed must be >= 0, got -1" in line, line
+
+
+@needs_workers
+def test_dead_forward_worker_is_one_error_line(workspace, monkeypatch, deadline, capsys):
+    """A bench batch of two in chunks of one image: image 1 runs in a forked
+    worker, which is SIGKILLed as an out-of-memory kill would end it."""
+    monkeypatch.setattr(md, "images_per_chunk", lambda cfg, itemsize=4: 1)
+    monkeypatch.setattr(md, "_cpus", lambda: 2)
+    parent, real = os.getpid(), md.forward
+
+    def dying(model, images):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(model, images)
+
+    monkeypatch.setattr(md, "forward", dying)
+    cfg = workspace["root"] / "killed.cfg"
+    cfg.write_text(BASE_CONFIG.format(out="run_killed") +
+                   "\n[bench]\nbatch_size = 2\nwarmup_iters = 0\ntimed_iters = 1\n", encoding="utf-8")
+    assert cli.main(["bench", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert re.fullmatch(rf"error: off-tape forward worker [0-9]+ was killed by signal {int(signal.SIGKILL)}",
+                        line), line
 
 
 def test_upweight_tagged_scales_weights():

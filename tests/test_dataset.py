@@ -200,6 +200,18 @@ def test_load_rejects_unknown_columns_and_bad_weight(tmp_path):
             ds.load_dataset(manifest)
 
 
+@pytest.mark.parametrize("header, rows, message", [
+    ("relative_path,label_name,label_name", ["a.ppm,cat,dog"], ": header names column 'label_name' twice"),
+    # a decimal comma splits the weight 2.5 into two fields
+    ("relative_path,label_name,weight", ["a.ppm,cat,1", "a.ppm,cat,2,5"], " row 3: 4 fields, but the header has 3"),
+], ids=["repeated_column", "extra_field"])
+def test_load_rejects_a_header_or_row_csv_would_misread(tmp_path, header, rows, message):
+    put_image(tmp_path, "a.ppm")
+    manifest = write_manifest(tmp_path, rows, header=header)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(manifest) + message)}$"):
+        ds.load_dataset(manifest)
+
+
 def test_load_manifest_field_over_csv_limit_names_the_line(tmp_path):
     put_image(tmp_path, "a.ppm")
     manifest = write_manifest(tmp_path, ["a.ppm,cat", "a.ppm," + "x" * 131_073])
@@ -295,3 +307,9 @@ def test_synth_generates_loadable_dataset(tmp_path):
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             assert np.abs(centers[i] - centers[j]).mean() > 0.01
+
+
+def test_synth_rejects_more_classes_than_shape_color_pairs(tmp_path):
+    with pytest.raises(ValueError, match=r"^not enough shape/color combinations, got num_classes = 10000$"):
+        synth.generate_dataset(tmp_path, num_classes=10_000)
+    assert not list(tmp_path.iterdir())

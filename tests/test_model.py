@@ -311,7 +311,7 @@ def test_dead_worker_raises_its_exit_status(monkeypatch, deadline, die, status):
         return real(model, images)
 
     monkeypatch.setattr(md, "forward", dying)
-    with pytest.raises(RuntimeError, match=f"off-tape forward worker [0-9]+ .*{status}"):
+    with pytest.raises(ChildProcessError, match=f"off-tape forward worker [0-9]+ .*{status}"):
         md.forward(m, ad.Tensor(x))
     _assert_no_children()
 
@@ -521,3 +521,26 @@ def test_forward_matches_straight_line_oracle():
     want = x @ m.head.weight.data + m.head.bias.data
 
     assert rel_err(got, want) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# argument checks
+
+
+def _block_on_wrong_channels():
+    cfg = toy_config()
+    s = cfg.stages[0]
+    x = ad.zeros((1, 4, 4, s.channels + 1))
+    return md.dual_attention_block(x, md.build_model(cfg, seed=0).stages[0].blocks[0], s)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: md.ModelConfig(16, 3, stages=[]).validate(), "at least one stage required",
+                 id="no_stages"),
+    pytest.param(lambda: md.ModelConfig(16, 3, stages=[], ffn_expansion=0.01).ffn_hidden(8),
+                 r"ffn_expansion too small for channel width 8, got 0\.01", id="ffn_expansion"),
+    pytest.param(_block_on_wrong_channels, "block expects 4 channels, got 5", id="block_channels"),
+])
+def test_bad_argument_raises_value_error_naming_it(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

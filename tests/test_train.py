@@ -591,3 +591,21 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         tr.TrainConfig(batch_size=0).validate()
     tr.TrainConfig().validate()
+
+
+# ---------------------------------------------------------------------------
+# argument checks
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: tr.soft_cross_entropy(ad.zeros((2, 3)), np.full((2, 2), 0.5)),
+                 r"targets shape \(2, 2\) does not match logits \(2, 3\)", id="targets_shape"),
+    pytest.param(lambda: tr.adamw_step({}, tr.OptimizerState(), tr.TrainConfig(), 0.0),
+                 r"lr must be > 0, got 0\.0", id="lr"),
+    pytest.param(lambda: tr.train_epoch(None, Dataset([], ["a", "b"]), tr.TrainConfig(), 0,
+                                        tr.OptimizerState()),
+                 "training set is empty", id="empty_train_set"),
+])
+def test_bad_argument_raises_value_error_naming_it(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
