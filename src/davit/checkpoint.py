@@ -18,11 +18,12 @@ lies outside [0, 2**24].
 Records are read in file order, each tensor once into a buffer the
 returned array owns, so a load holds about the file size. Round-trips
 are bitwise exact for f32 tensors. A malformed container (bad magic,
-bad version, truncation, trailing bytes, a repeated tensor name) or a
-metadata entry that is not the whole numbers save_checkpoint writes
-raises CorruptCheckpointError naming the file; a well-formed file whose
-parameters or optimizer moments do not fit the receiving model raises
-CheckpointMismatchError naming the first offending tensor.
+bad version, truncation, trailing bytes, a repeated tensor name), a
+metadata entry that is not the whole numbers save_checkpoint writes, a
+reserved name save_checkpoint never writes, or optimizer moments without
+their step t raise CorruptCheckpointError naming the file; a well-formed
+file whose parameters or optimizer moments do not fit the receiving
+model raises CheckpointMismatchError naming the first offending tensor.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ _META_HASH = "__meta__.config_hash"
 _OPT_STEP = "__opt__.t"
 _OPT_M = "__opt__.m."
 _OPT_V = "__opt__.v."
+_RESERVED = ("__meta__.", "__opt__.")  # name prefixes that are not model parameters
 _MAX_COUNT = 2**24  # float32 holds every integer in [0, 2**24] exactly
 _WRITEBACK_MIN = 1 << 20  # bytes of a record whose writeback a save starts early
 
@@ -216,6 +218,10 @@ def load_checkpoint(path, model):
     from davit.train import OptimizerState
 
     tensors = read_tensors(path)
+    known = {_META_EPOCH, _META_CORRECT, _META_TOTAL, _META_HASH, _OPT_STEP}
+    for name in tensors:
+        if name.startswith(_RESERVED) and name not in known and not name.startswith((_OPT_M, _OPT_V)):
+            raise CorruptCheckpointError(f"corrupt checkpoint {path}: unknown reserved entry {name!r}")
 
     def whole(key, size=1, top=_MAX_COUNT):
         if key not in tensors:
@@ -233,9 +239,11 @@ def load_checkpoint(path, model):
     t = whole(_OPT_STEP)[0] if _OPT_STEP in tensors else None
 
     params = model.named_parameters()
-    stored = {k: a for k, a in tensors.items() if not k.startswith(("__meta__.", "__opt__."))}
+    stored = {k: a for k, a in tensors.items() if not k.startswith(_RESERVED)}
     m = {k[len(_OPT_M):]: a for k, a in tensors.items() if k.startswith(_OPT_M)}
     v = {k[len(_OPT_V):]: a for k, a in tensors.items() if k.startswith(_OPT_V)}
+    if (m or v) and t is None:  # a t without moments is OptimizerState(t=k) as saved
+        raise CorruptCheckpointError(f"corrupt checkpoint {path}: optimizer moments without {_OPT_STEP!r}")
     for name in params:
         if name not in stored:
             raise CheckpointMismatchError(f"checkpoint {path} is missing tensor {name!r}")

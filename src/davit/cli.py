@@ -55,12 +55,15 @@ def _load_splits(rc, config):
     return train_ds, val_ds
 
 
-def _check_config_hash(meta, model_cfg, force):
-    if meta.config_hash != ck.model_config_hash(model_cfg):
+def _init_from(args, rc, model):
+    """Load --init-from into model, refusing another model config unless --force; its meta."""
+    _, meta = ck.load_checkpoint(args.init_from, model)
+    if meta.config_hash != ck.model_config_hash(rc.model):
         print("warning: checkpoint was written under a different model config",
               file=sys.stderr)
-        if not force:
+        if not args.force:
             raise CliError("config hash mismatch; pass --force to load anyway")
+    return meta
 
 
 def cmd_train(args, rc) -> int:
@@ -74,8 +77,7 @@ def cmd_train(args, rc) -> int:
     model = md.build_model(rc.model, seed=rc.train.seed)
     state = OptimizerState()  # finetuning restarts the optimizer
     if args.init_from is not None:
-        _, meta = ck.load_checkpoint(args.init_from, model)
-        _check_config_hash(meta, rc.model, args.force)
+        meta = _init_from(args, rc, model)
         report0 = evaluate(model, val_ds, rc.train.threshold)
         print(f"resumed from {args.init_from}: epoch {meta.epoch}, "
               f"recorded val acc {meta.val_accuracy!r}, "
@@ -120,8 +122,7 @@ def cmd_eval(args, rc) -> int:
         raise CliError("eval needs --init-from <checkpoint>")
     _, val_ds = _load_splits(rc, args.config)
     model = md.build_model(rc.model, seed=rc.train.seed)
-    _, meta = ck.load_checkpoint(args.init_from, model)
-    _check_config_hash(meta, rc.model, args.force)
+    _init_from(args, rc, model)
     report = evaluate(model, val_ds, rc.train.threshold)
     doc = json.dumps(report.to_dict(), indent=2)
     out = Path(rc.out_dir)
@@ -133,6 +134,8 @@ def cmd_eval(args, rc) -> int:
 
 def cmd_bench(args, rc) -> int:
     model = md.build_model(rc.model, seed=rc.train.seed)
+    if args.init_from is not None:
+        _init_from(args, rc, model)
     shape = (rc.bench.batch_size, rc.model.input_channels,
              rc.model.input_size, rc.model.input_size)
     report = bh.measure_fps(model, shape,

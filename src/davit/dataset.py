@@ -4,9 +4,10 @@ A dataset is described by a UTF-8 manifest CSV with a header row of
 `relative_path,label_name` plus optional `tag` and `weight` columns.
 Paths are resolved relative to the manifest's directory. Images are
 binary P6 portable pixmaps with maxval up to 255. A loaded image stays
-as its file's bytes (a PixelImage, one byte per value), and becomes a
-3 x S x S float32 array scaled into [0, 1] only when it is read, so a
-dataset holds a quarter of the memory its float pixels would take.
+as its file's bytes (a PixelImage, one byte per value), so a dataset
+holds a quarter of the memory its float pixels would take. Its .data is
+the one conversion: a divide by the maxval into a fresh 3 x S x S
+float32 array in [0, 1] on each read.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from davit import autodiff as ad
 class PixelImage:
     """A decoded P6 image kept as bytes: its (H, W, 3) uint8 pixels and maxval.
 
-    Reads like an image Tensor: shape is (3, H, W), and data converts
-    the pixels to a fresh float32 array in [0, 1] on every read.
+    Reads like an image Tensor through shape, (3, H, W), dtype and data,
+    which divides the pixels by maxval into a fresh float32 array in
+    [0, 1] in one pass on every read.
     """
 
     __slots__ = ("pixels", "maxval")
@@ -43,11 +45,7 @@ class PixelImage:
 
     @property
     def data(self):
-        return self.pixels.transpose(2, 0, 1).astype(np.float32) / self.maxval
-
-    def fill(self, out):
-        """Write data into out, a (3, H, W) float32 array, bitwise equal to data."""
-        np.divide(self.pixels.transpose(2, 0, 1), self.maxval, out=out, dtype=np.float32)
+        return np.divide(self.pixels.transpose(2, 0, 1), self.maxval, dtype=np.float32)
 
 
 @dataclass
@@ -151,8 +149,14 @@ def load_dataset(manifest_path, class_names=None) -> Dataset:
 
     Every image must have the first row's shape. When class_names is
     omitted the class list is the sorted set of label names found in the
-    manifest; when given, a label outside the list is an error.
+    manifest; when given, a label outside the list or a class the list
+    names twice is an error.
     """
+    if class_names is not None:
+        class_names = list(class_names)
+        twice = [c for c in class_names if class_names.count(c) > 1]
+        if twice:  # each label indexes the first, leaving a class no label reaches
+            raise ValueError(f"class list names {twice[0]!r} twice")
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
@@ -216,7 +220,7 @@ def load_dataset(manifest_path, class_names=None) -> Dataset:
             weight=weight,
             tag=row.get("tag") or None,
         ))
-    return Dataset(samples, list(class_names))
+    return Dataset(samples, class_names)
 
 
 def split_dataset(ds: Dataset, train_fraction, seed, holdout_tags=frozenset()):

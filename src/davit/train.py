@@ -17,7 +17,7 @@ import numpy as np
 from davit import autodiff as ad
 from davit import model as md
 from davit.augment import apply_policy, mixup, sample_lambda, weighted_sampler
-from davit.dataset import Dataset, PixelImage
+from davit.dataset import Dataset
 
 
 @dataclass
@@ -218,8 +218,8 @@ def evaluate(model: md.Model, val: Dataset, threshold, batch_size=16) -> EvalRep
     incorrect and are tallied in rejected_count.
 
     Each batch is written into one float buffer allocated per call, so at
-    most one batch of float images is held at a time; a PixelImage is
-    converted straight into its slot.
+    most one batch of float images is held at a time; each slot takes its
+    sample's image.data, whatever the image's type.
     """
     if not val.samples:
         raise ValueError("validation set is empty")
@@ -240,10 +240,7 @@ def evaluate(model: md.Model, val: Dataset, threshold, batch_size=16) -> EvalRep
         for i, (s, slot) in enumerate(zip(batch, images), start):
             if s.image.shape != shape:
                 raise ValueError(f"sample {i} has image shape {s.image.shape}, sample 0 has {shape}")
-            if isinstance(s.image, PixelImage):
-                s.image.fill(slot)
-            else:
-                slot[...] = s.image.data
+            slot[...] = s.image.data
         logits = md.forward(model, ad.Tensor(images))  # no tape: inference mode
         probs = ad.softmax(logits, axis=-1).data
         preds = probs.argmax(axis=1)

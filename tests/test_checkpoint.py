@@ -395,6 +395,7 @@ def rewrite(path, entry, value):
     ("__opt__.t", [1.0, 2.0]),
     ("__opt__.t", [-1.0]),
     ("__meta__.epoch", None),  # missing
+    ("__meta__.bogus", [0.0]),  # a reserved name save_checkpoint never writes
 ])
 def test_bad_metadata_entry_rejected(tmp_path, entry, value):
     path = tmp_path / "m.ckpt"
@@ -424,6 +425,39 @@ def test_moments_must_fit_the_parameters(tmp_path, entry, value):
     with pytest.raises(ck.CheckpointMismatchError, match=f"{re.escape(str(path))}.*{re.escape(repr(entry))}"):
         ck.load_checkpoint(path, dst)
     assert all(t.data is before[n] for n, t in dst.named_parameters().items())
+
+
+def test_every_bit_flip_of_a_reserved_name_raises_or_loads_intact(tmp_path):
+    src = toy_model(seed=21)
+    rng = np.random.default_rng(22)
+    state = OptimizerState(t=5)
+    for name, t in src.named_parameters().items():
+        state.m[name] = rng.normal(size=t.shape).astype(np.float32)
+        state.v[name] = rng.uniform(0, 1, size=t.shape).astype(np.float32)
+    good = tmp_path / "good.ckpt"
+    ck.save_checkpoint(src, good, state=state)
+    raw = good.read_bytes()
+    names = ["__meta__.epoch", "__meta__.val_correct", "__meta__.val_total",
+             "__meta__.config_hash", "__opt__.t"]
+    spans = [(raw.index(n.encode()), len(n)) for n in names]
+    spans += [(raw.index(f"{p}head.bias".encode()), len(p)) for p in ("__opt__.m.", "__opt__.v.")]
+    path = tmp_path / "flip.ckpt"
+    dst = toy_model(seed=23)
+    for start, size in spans:
+        for bit in range(8 * size):
+            flipped = bytearray(raw)
+            flipped[start + bit // 8] ^= 1 << bit % 8
+            path.write_bytes(flipped)
+            where = f"{bytes(flipped[start:start + size])!r} (bit {bit})"
+            try:
+                loaded, _ = ck.load_checkpoint(path, dst)
+            except (ck.CorruptCheckpointError, ck.CheckpointMismatchError) as exc:
+                assert str(path) in str(exc), where
+                continue
+            assert loaded is not None and loaded.t == state.t, where
+            assert loaded.m.keys() == state.m.keys() == loaded.v.keys(), where
+            assert all((loaded.m[n] == state.m[n]).all() and (loaded.v[n] == state.v[n]).all()
+                       for n in state.m), where
 
 
 def test_optimizer_state_round_trip(tmp_path):

@@ -308,6 +308,22 @@ def test_bench_command(workspace, capsys):
         load_run_config(cfg).model)
 
 
+def test_bench_loads_init_from(workspace, capsys):
+    root = workspace["root"]
+    cfg = root / "bench_init.cfg"
+    cfg.write_text(BASE_CONFIG.format(out="run_bench_init") +
+                   "\n[bench]\nwarmup_iters = 1\ntimed_iters = 1\n",
+                   encoding="utf-8")
+    missing = root / "nowhere" / "missing.ckpt"
+    assert cli.main(["bench", "--config", str(cfg), "--init-from", str(missing)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "missing.ckpt" in err[0]
+    assert not (root / "run_bench_init" / "bench.csv").exists()
+    best = workspace["out"] / "best.ckpt"
+    assert cli.main(["bench", "--config", str(cfg), "--init-from", str(best)]) == 0
+    assert (root / "run_bench_init" / "bench.csv").stat().st_size > 0
+
+
 def test_inspect_default_config_fast(tmp_path, capsys):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("", encoding="utf-8")

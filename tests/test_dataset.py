@@ -79,9 +79,7 @@ def test_pixel_image_converts_bitwise_like_the_float_decode(tmp_path, maxval):
     image = ds.read_pixels(path)
     assert image.pixels.dtype == np.uint8 and image.pixels.shape == (5, 7, 3)
     assert image.shape == (3, 5, 7)
-    slot = np.full((3, 5, 7), np.nan, dtype=np.float32)
-    image.fill(slot)
-    for got in (image.data, slot, ds.read_ppm(path)):
+    for got in (image.data, ds.read_ppm(path)):
         assert got.dtype == np.float32 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert 0.0 <= got.min() and got.max() == 1.0
@@ -181,6 +179,14 @@ def test_load_label_outside_class_list(tmp_path):
     manifest = write_manifest(tmp_path, ["a.ppm,ferret"])
     with pytest.raises(ValueError, match="outside class list"):
         ds.load_dataset(manifest, class_names=["cat", "dog"])
+
+
+def test_load_rejects_a_class_list_naming_a_class_twice(tmp_path):
+    for n in ("a.ppm", "b.ppm", "c.ppm"):
+        put_image(tmp_path, n)
+    manifest = write_manifest(tmp_path, ["a.ppm,a", "b.ppm,b", "c.ppm,c"])
+    with pytest.raises(ValueError, match="class list names 'a' twice"):
+        ds.load_dataset(manifest, class_names=["a", "a", "b", "c"])
 
 
 def test_load_rejects_unknown_columns_and_bad_weight(tmp_path):
